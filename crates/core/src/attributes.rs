@@ -13,12 +13,16 @@
 use rigid_dag::analysis::Criticality;
 use rigid_dag::{ReleasedTask, TaskId};
 use rigid_time::Time;
-use std::collections::HashMap;
 
 /// Incrementally computes criticalities as tasks are revealed.
+///
+/// `f∞` lives in a dense column indexed by [`TaskId::index`], grown to
+/// the largest id seen, so registering and looking up a task are plain
+/// index operations.
 #[derive(Debug, Default)]
 pub struct CriticalityTracker {
-    finish: HashMap<TaskId, Time>,
+    finish: Vec<Option<Time>>,
+    registered: usize,
 }
 
 impl CriticalityTracker {
@@ -32,15 +36,14 @@ impl CriticalityTracker {
     /// # Panics
     /// Panics if a predecessor was never registered (an online-model
     /// violation: tasks are released only after all predecessors complete,
-    /// and predecessors are released before they run).
+    /// and predecessors are released before they run), or if the task was
+    /// already registered.
     pub fn on_release(&mut self, task: &ReleasedTask) -> Criticality {
         let s_inf = task
             .preds
             .iter()
-            .map(|p| {
-                *self
-                    .finish
-                    .get(p)
+            .map(|&p| {
+                self.finish_of(p)
                     .unwrap_or_else(|| panic!("predecessor {p} of {} unknown", task.id))
             })
             .max()
@@ -49,30 +52,40 @@ impl CriticalityTracker {
             start: s_inf,
             finish: s_inf + task.spec.time,
         };
-        let dup = self.finish.insert(task.id, crit.finish);
+        let i = task.id.index();
+        if i >= self.finish.len() {
+            self.finish.resize(i + 1, None);
+        }
+        let dup = self.finish[i].replace(crit.finish);
         assert!(dup.is_none(), "task {} released twice", task.id);
+        self.registered += 1;
         crit
     }
 
     /// The earliest finish time `f∞` of a registered task.
     pub fn finish_of(&self, task: TaskId) -> Option<Time> {
-        self.finish.get(&task).copied()
+        self.finish.get(task.index()).copied().flatten()
     }
 
     /// Number of tasks registered so far.
     pub fn len(&self) -> usize {
-        self.finish.len()
+        self.registered
     }
 
     /// Returns `true` if no tasks are registered.
     pub fn is_empty(&self) -> bool {
-        self.finish.is_empty()
+        self.registered == 0
     }
 
     /// The largest `f∞` seen so far — the critical-path length of the
     /// revealed portion of the instance.
     pub fn revealed_critical_path(&self) -> Time {
-        self.finish.values().copied().max().unwrap_or(Time::ZERO)
+        self.finish
+            .iter()
+            .flatten()
+            .copied()
+            .max()
+            .unwrap_or(Time::ZERO)
     }
 }
 

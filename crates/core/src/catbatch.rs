@@ -43,13 +43,19 @@ impl BatchRecord {
 
 struct CurrentBatch {
     category: Category,
-    /// Batch tasks not yet started, in release order, with processor needs.
-    pool: Vec<(TaskId, u32)>,
     /// Number of batch tasks currently running.
     running: usize,
-    /// All tasks of the batch (for the record).
+    /// All tasks of the batch, in release order (for the record).
     all: Vec<TaskId>,
     started_at: Time,
+    area: Time,
+}
+
+/// A batch still waiting for its turn: its tasks in release order and
+/// their total area `Σ t·p`, accumulated at release.
+#[derive(Default)]
+struct PendingBatch {
+    tasks: Vec<TaskId>,
     area: Time,
 }
 
@@ -61,14 +67,15 @@ struct CurrentBatch {
 pub struct CatBatch {
     tracker: CriticalityTracker,
     /// Pending batches by category (tasks not yet in the current batch).
-    batches: BTreeMap<Category, Vec<(TaskId, u32)>>,
-    /// Areas of pending batches, accumulated at release.
-    areas: BTreeMap<Category, Time>,
+    batches: BTreeMap<Category, PendingBatch>,
     current: Option<CurrentBatch>,
+    /// Current-batch tasks not yet started, in release order, with their
+    /// processor needs. Reused across batches.
+    pool: Vec<(TaskId, u32)>,
     history: Vec<BatchRecord>,
-    /// Processor widths of all revealed tasks (needed to re-pool a
-    /// failed task).
-    widths: BTreeMap<TaskId, u32>,
+    /// Processor widths of all revealed tasks, indexed by
+    /// [`TaskId::index`] (0 = not revealed).
+    widths: Vec<u32>,
     /// Failed attempts per task so far.
     failures: BTreeMap<TaskId, u32>,
     /// How many failures per task CatBatch tolerates before abandoning.
@@ -82,10 +89,10 @@ impl CatBatch {
         CatBatch {
             tracker: CriticalityTracker::new(),
             batches: BTreeMap::new(),
-            areas: BTreeMap::new(),
             current: None,
+            pool: Vec::new(),
             history: Vec::new(),
-            widths: BTreeMap::new(),
+            widths: Vec::new(),
             failures: BTreeMap::new(),
             retry_budget: 0,
         }
@@ -125,8 +132,8 @@ impl CatBatch {
                 return Some(cur.category);
             }
         }
-        for (cat, pool) in &self.batches {
-            if pool.iter().any(|(id, _)| *id == task) {
+        for (cat, pending) in &self.batches {
+            if pending.tasks.contains(&task) {
                 return Some(*cat);
             }
         }
@@ -158,12 +165,14 @@ impl OnlineScheduler for CatBatch {
                 cur.category
             );
         }
-        self.batches
-            .entry(cat)
-            .or_default()
-            .push((task.id, task.spec.procs));
-        *self.areas.entry(cat).or_insert(Time::ZERO) += task.spec.area();
-        self.widths.insert(task.id, task.spec.procs);
+        let pending = self.batches.entry(cat).or_default();
+        pending.tasks.push(task.id);
+        pending.area += task.spec.area();
+        let i = task.id.index();
+        if i >= self.widths.len() {
+            self.widths.resize(i + 1, 0);
+        }
+        self.widths[i] = task.spec.procs;
     }
 
     fn on_complete(&mut self, task: TaskId, now: Time) {
@@ -174,7 +183,7 @@ impl OnlineScheduler for CatBatch {
         debug_assert!(cur.all.contains(&task), "completed {task} not in batch");
         assert!(cur.running > 0, "completion underflow");
         cur.running -= 1;
-        if cur.running == 0 && cur.pool.is_empty() {
+        if cur.running == 0 && self.pool.is_empty() {
             // Batch finished (Algorithm 2, line 17: wait until all tasks
             // in B complete).
             let cur = self.current.take().expect("checked above");
@@ -188,51 +197,54 @@ impl OnlineScheduler for CatBatch {
         }
     }
 
-    fn decide(&mut self, now: Time, mut free: u32) -> Vec<TaskId> {
+    fn decide(&mut self, now: Time, free: u32) -> Vec<TaskId> {
+        let mut out = Vec::new();
+        self.decide_into(now, free, &mut out);
+        out
+    }
+
+    fn decide_into(&mut self, now: Time, mut free: u32, out: &mut Vec<TaskId>) {
         // With an active batch, a saturated machine or a drained pool can
         // never yield a start (every task needs ≥ 1 processor) — skip the
         // pool scan. Batch *selection* must not be skipped: it has to
         // happen at the instant the previous batch closed so the record's
         // `started_at` is right.
-        if let Some(cur) = &self.current {
-            if free == 0 || cur.pool.is_empty() {
-                return Vec::new();
+        if self.current.is_some() {
+            if free == 0 || self.pool.is_empty() {
+                return;
             }
-        }
-        // Select a batch if none is active (Algorithm 3, line 10: find
-        // B_ζmin containing the tasks of smallest category).
-        if self.current.is_none() {
-            match self.batches.pop_first() {
-                Some((category, pool)) => {
-                    let area = self.areas.remove(&category).unwrap_or(Time::ZERO);
-                    self.current = Some(CurrentBatch {
-                        category,
-                        all: pool.iter().map(|(id, _)| *id).collect(),
-                        pool,
-                        running: 0,
-                        started_at: now,
-                        area,
-                    });
-                }
-                None => return Vec::new(),
-            }
+        } else {
+            // Select a batch (Algorithm 3, line 10: find B_ζmin containing
+            // the tasks of smallest category).
+            let Some((category, pending)) = self.batches.pop_first() else {
+                return;
+            };
+            let widths = &self.widths;
+            self.pool
+                .extend(pending.tasks.iter().map(|&id| (id, widths[id.index()])));
+            self.current = Some(CurrentBatch {
+                category,
+                all: pending.tasks,
+                running: 0,
+                started_at: now,
+                area: pending.area,
+            });
         }
 
         // Greedy ScheduleIndep step (Algorithm 2, lines 9–15): start every
         // remaining batch task that fits, scanning in release order.
-        let cur = self.current.as_mut().expect("just ensured");
-        let mut started = Vec::new();
-        cur.pool.retain(|&(id, p)| {
+        let before = out.len();
+        self.pool.retain(|&(id, p)| {
             if p <= free {
                 free -= p;
-                started.push(id);
+                out.push(id);
                 false
             } else {
                 true
             }
         });
-        cur.running += started.len();
-        started
+        let cur = self.current.as_mut().expect("just ensured");
+        cur.running += out.len() - before;
     }
 
     fn on_failure(&mut self, task: TaskId, _now: Time) -> FailureResponse {
@@ -252,8 +264,13 @@ impl OnlineScheduler for CatBatch {
         debug_assert!(cur.all.contains(&task), "failed {task} not in batch");
         assert!(cur.running > 0, "failure underflow");
         cur.running -= 1;
-        let width = *self.widths.get(&task).expect("failed task was released");
-        cur.pool.push((task, width));
+        let width = self
+            .widths
+            .get(task.index())
+            .copied()
+            .filter(|&w| w > 0)
+            .expect("failed task was released");
+        self.pool.push((task, width));
         FailureResponse::Retry
     }
 }

@@ -14,7 +14,7 @@
 //! strictly increasing categories (Lemma 5). CatBatch batches tasks by
 //! category and processes batches in increasing `ζ`.
 
-use rigid_time::{Pow2, Time};
+use rigid_time::{Dyadic, Pow2, Time, MIN_EXPONENT};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
@@ -127,26 +127,95 @@ impl fmt::Display for Category {
 /// Computes the category of a task from its criticality interval
 /// (the core of the paper's Algorithm 1, `ComputeCat`).
 ///
+/// Endpoints on the dyadic grid — every generated workload, and every
+/// instance whose task lengths are dyadic — take an O(1) integer kernel;
+/// rational endpoints and the few dyadic intervals the kernel cannot
+/// represent take the level-by-level search. Where both answer, they
+/// return the same category.
+///
 /// # Panics
-/// Panics if the interval is empty (`f∞ ≤ s∞`) or starts before 0.
+/// Panics if the interval is empty (`f∞ ≤ s∞`) or starts before 0, or if
+/// the category's longitude `λ` does not fit an `i64`.
 pub fn compute_category(s_inf: Time, f_inf: Time) -> Category {
     assert!(
         f_inf > s_inf,
         "criticality interval must be non-empty: ({s_inf}, {f_inf})"
     );
     assert!(!s_inf.is_negative(), "criticality cannot start before 0");
+    dyadic_category(s_inf, f_inf).unwrap_or_else(|| search_category(s_inf, f_inf))
+}
 
+/// The O(1) category kernel for dyadic endpoints `0 ≤ s∞ < f∞`.
+///
+/// Write both endpoints over their common exponent `e` as integers
+/// `S = s∞/2^e < F = f∞/2^e`. The grid points of level `e + k` strictly
+/// inside the interval are the multiples of `2^k` in `[S+1, F−1]`, and
+/// one exists iff `S >> k ≠ (F−1) >> k`. So if `F − S ≥ 2`, the highest
+/// such level is the highest bit where `S` and `F − 1` differ,
+/// `χ = e + msb(S ⊕ (F−1))`, and `λ = (S >> (χ−e)) + 1`. If `F − S = 1`
+/// no level `≥ e` has an inside point, while level `e − 1` has exactly
+/// one, the midpoint: `χ = e − 1`, `λ = 2S + 1`.
+///
+/// Returns `None` — the caller falls back to [`search_category`] — when
+/// an endpoint is a rational-variant `Time`, when `S` or `F` does not fit
+/// a `u128`, when `χ` falls below the finest grid `2^MIN_EXPONENT`, or when
+/// `λ` does not fit an `i64`.
+pub(crate) fn dyadic_category(s_inf: Time, f_inf: Time) -> Option<Category> {
+    let (s, f) = (s_inf.dyadic()?, f_inf.dyadic()?);
+    // The canonical zero carries exponent 0, which is not a bound on the
+    // common exponent; zero aligns to anything.
+    let e = if s.is_zero() {
+        f.exponent()
+    } else {
+        s.exponent().min(f.exponent())
+    };
+    let (big_s, big_f) = (aligned(s, e)?, aligned(f, e)?);
+    let (chi, lambda) = if big_f - big_s == 1 {
+        (e - 1, big_s.checked_mul(2)? + 1)
+    } else {
+        let k = 127 - (big_s ^ (big_f - 1)).leading_zeros();
+        (e + k as i32, (big_s >> k) + 1)
+    };
+    if chi < MIN_EXPONENT {
+        return None;
+    }
+    Some(Category::new(chi, i64::try_from(lambda).ok()?))
+}
+
+/// The non-negative dyadic `d` as the integer `d / 2^e`, for `e` at most
+/// `d`'s exponent; `None` when it does not fit a `u128`.
+fn aligned(d: Dyadic, e: i32) -> Option<u128> {
+    let m = u128::try_from(d.mantissa()).ok()?;
+    if m == 0 {
+        return Some(0);
+    }
+    let shift = u32::try_from(d.exponent() - e).ok()?;
+    (m.leading_zeros() >= shift).then(|| m << shift)
+}
+
+/// The reference category search: walks `χ` down one power level at a
+/// time from the largest `2^χ < f∞` until a multiple of `2^χ` falls
+/// strictly inside the interval. Handles every input on which the kernel
+/// declines, and is the oracle the kernel is tested against.
+///
+/// # Panics
+/// Panics if the category's longitude `λ` does not fit an `i64`.
+pub(crate) fn search_category(s_inf: Time, f_inf: Time) -> Category {
     // The largest candidate power level: χ with 2^χ < f∞ (for any larger
     // χ, even λ = 1 overshoots).
     let mut chi = Pow2::largest_below(f_inf).exponent();
     loop {
         let p = Pow2::new(chi);
-        // Smallest multiple of 2^χ strictly greater than s∞.
-        let lambda = p.next_multiple_after(s_inf);
-        if p.grid_point(lambda as i64) < f_inf {
+        // Smallest multiple of 2^χ strictly greater than s∞. Each level
+        // down at least doubles λ − 1, so once λ overflows here it
+        // overflows at the level the search stops at too.
+        let lambda = i64::try_from(p.next_multiple_after(s_inf)).unwrap_or_else(|_| {
+            panic!("criticality interval ({s_inf}, {f_inf}): category longitude overflows i64")
+        });
+        if p.grid_point(lambda) < f_inf {
             // Found the maximal level. Lemma 2: λ is odd.
             debug_assert!(lambda % 2 == 1, "Lemma 2 violated: λ = {lambda} even");
-            return Category::new(chi, lambda as i64);
+            return Category::new(chi, lambda);
         }
         chi -= 1;
         // Termination: once 2^χ < f∞ − s∞, the next multiple after s∞ is
@@ -249,6 +318,52 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn empty_interval_rejected() {
         let _ = compute_category(Time::ONE, Time::ONE);
+    }
+
+    /// The kernel declines rational endpoints and intervals whose
+    /// aligned integers overflow `u128`; the search answers them.
+    #[test]
+    fn kernel_declines_to_the_search() {
+        let third = (Time::from_ratio(1, 3), Time::ONE);
+        let wide = (Time::from_dyadic(1, -100), Time::from_dyadic(1, 100));
+        for (s, f) in [third, wide] {
+            assert_eq!(dyadic_category(s, f), None, "({s}, {f})");
+        }
+        assert_eq!(compute_category(third.0, third.1), Category::new(-1, 1));
+        assert_eq!(compute_category(wide.0, wide.1), Category::new(99, 1));
+    }
+
+    /// At the top of the exponent range the kernel answers where the
+    /// search's rational grid points overflow `i128`.
+    #[test]
+    fn kernel_answers_at_the_top_of_the_range() {
+        let c = compute_category(Time::from_dyadic(5, 124), Time::from_dyadic(7, 124));
+        assert_eq!(c, Category::new(125, 3));
+        let c = compute_category(Time::from_dyadic(1, 125), Time::from_dyadic(3, 125));
+        assert_eq!(c, Category::new(126, 1));
+    }
+
+    /// The category of `(1024, 1024 + 2^-62)` is `χ = −63`,
+    /// `λ = 2^73 + 1`, which does not fit an `i64`; the search used to
+    /// wrap λ to a negative longitude.
+    #[test]
+    #[should_panic(
+        expected = "(1024, 4722366482869645213697/4611686018427387904): category longitude overflows i64"
+    )]
+    fn longitude_overflow_rational_endpoint() {
+        let eps = Time::from_rational(rigid_time::Rational::new(1, 1 << 62));
+        let _ = compute_category(Time::from_int(1024), Time::from_int(1024) + eps);
+    }
+
+    /// Dyadic endpoints whose category has λ = 2^63 + 1: the kernel
+    /// declines, and the search reports the same overflow.
+    #[test]
+    #[should_panic(expected = "category longitude overflows i64")]
+    fn longitude_overflow_dyadic_endpoints() {
+        let s = Time::from_dyadic(1, 60);
+        let f = Time::from_dyadic((1 << 62) + 1, -2);
+        assert_eq!(dyadic_category(s, f), None);
+        let _ = compute_category(s, f);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! * [`attributes`] — online criticality tracking `(s∞, f∞)`
 //!   (Definition 1, Lemma 1);
 //! * [`category`] — power level `χ`, longitude `λ`, category `ζ = λ·2^χ`
-//!   (Definitions 2–3, Lemma 2), computed exactly on rationals;
+//!   (Definitions 2–3, Lemma 2), computed exactly: an O(1) integer kernel
+//!   for dyadic criticalities, a level-by-level search on exact
+//!   rationals otherwise;
 //! * [`lmatrix`] — category lengths `L_ζ` and the L-matrix (Definitions
 //!   4–5, Lemmas 3–4), plus the Theorem 1/2 bound functions;
 //! * [`catbatch`] — the scheduler itself (Algorithms 1–3): batch by
@@ -73,10 +75,10 @@ pub use monitor::{AssumptionReport, GuaranteeMonitor};
 mod prop_tests {
     use super::*;
     use proptest::prelude::*;
-    use rigid_dag::gen::{erdos_dag, TaskSampler};
+    use rigid_dag::gen::{erdos_dag, fork_join, layered, TaskSampler};
     use rigid_dag::{analysis as dag_analysis, StaticSource};
     use rigid_sim::engine;
-    use rigid_time::Time;
+    use rigid_time::{Time, MIN_EXPONENT};
 
     fn arb_interval() -> impl Strategy<Value = (Time, Time)> {
         // s∞ ∈ [0, 1000) and t ∈ (0, 100] on a millis grid.
@@ -86,8 +88,69 @@ mod prop_tests {
         })
     }
 
+    /// Intervals with both endpoints on a `2^-k` grid. A quarter of them
+    /// start at `s∞ = 0`, a quarter are one grid step wide and a quarter
+    /// 2–9 steps; otherwise `s∞ = a·2^t` and the width is `b·2^u` steps,
+    /// so the endpoints also sit on coarser grid points.
+    fn arb_grid_interval() -> impl Strategy<Value = (Time, Time)> {
+        let start = (0u8..4, 0i64..1 << 20, 0u32..=20);
+        let width = (0u8..4, 1i64..1 << 10, 0u32..=20);
+        (0i32..=62, start, width).prop_map(|(k, (zero, a, t), (size, b, u))| {
+            let s = if zero == 0 { 0 } else { a << t };
+            let d = match size {
+                0 => 1,
+                1 => 2 + (b & 7),
+                _ => b << u,
+            };
+            (Time::from_dyadic(s, -k), Time::from_dyadic(s + d, -k))
+        })
+    }
+
+    /// `(e, a, b)` for the interval `(a·2^e, (a+b)·2^e)` at the ends of
+    /// the exponent range, `e ∈ [-126, -110] ∪ [100, 120]`; `a = 0` and
+    /// `b = 1` a quarter of the time each. `f∞ < 2^126` keeps the
+    /// reference search's rational grid points inside `i128`.
+    fn arb_extreme_interval() -> impl Strategy<Value = (i32, i64, i64)> {
+        let start = (0u8..4, 1i64..32);
+        let width = (0u8..4, 2i64..32);
+        (0i32..38, start, width).prop_map(|(i, (zero, a), (unit, b))| {
+            let e = if i < 17 { MIN_EXPONENT + i } else { 83 + i };
+            let a = if zero == 0 { 0 } else { a };
+            let b = if unit == 0 { 1 } else { b };
+            (e, a, b)
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The O(1) kernel answers every moderate grid interval, and its
+        /// answer is the reference search's.
+        #[test]
+        fn kernel_matches_search_on_grid((s, f) in arb_grid_interval()) {
+            let kernel = category::dyadic_category(s, f);
+            prop_assert_eq!(kernel, Some(category::search_category(s, f)));
+        }
+
+        /// At the ends of the exponent range the kernel declines exactly
+        /// when no point of the finest grid `2^-126` lies inside the
+        /// interval (the category's `χ` would be below `Pow2`'s range),
+        /// and otherwise agrees with the reference search.
+        #[test]
+        fn kernel_at_exponent_extremes((e, a, b) in arb_extreme_interval()) {
+            let (s, f) = (Time::from_dyadic(a, e), Time::from_dyadic(a + b, e));
+            // In steps of the finest grid the interval is
+            // (a·2^(e+126), (a+b)·2^(e+126)): it holds a grid point unless
+            // it is a single step wide.
+            let holds_finest_point = !(e == MIN_EXPONENT && b == 1);
+            match category::dyadic_category(s, f) {
+                Some(c) => {
+                    prop_assert!(holds_finest_point);
+                    prop_assert_eq!(c, category::search_category(s, f));
+                }
+                None => prop_assert!(!holds_finest_point),
+            }
+        }
 
         /// Lemma 2: the computed λ is odd and the brackets hold.
         #[test]
@@ -154,6 +217,23 @@ mod prop_tests {
             for w in cb.batch_history().windows(2) {
                 prop_assert!(w[0].finished_at <= w[1].started_at);
                 prop_assert!(w[0].category < w[1].category);
+            }
+        }
+    }
+
+    /// Every criticality of generated workloads (dyadic lengths) takes
+    /// the O(1) kernel, never the search.
+    #[test]
+    fn generated_criticalities_take_the_kernel() {
+        let mix = TaskSampler::default_mix();
+        for inst in [layered(7, 60, 30, &mix, 64), fork_join(7, 20, 40, &mix, 64)] {
+            for crit in dag_analysis::criticalities(inst.graph()) {
+                assert!(
+                    category::dyadic_category(crit.start, crit.finish).is_some(),
+                    "({}, {}) fell back to the search",
+                    crit.start,
+                    crit.finish
+                );
             }
         }
     }

@@ -123,7 +123,18 @@ pub fn reset() {
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
     use std::time::{Duration, Instant};
+
+    /// Serializes the tests that raise SIGTERM: they share the
+    /// process-wide signal epoch, so one test's signal would land in
+    /// another's "no interrupt yet" window.
+    fn signal_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        // The guarded value is `()`, so a test that panicked holding the
+        // lock left nothing inconsistent behind.
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn raise_sigterm() {
         let status = std::process::Command::new("kill")
@@ -147,6 +158,7 @@ mod tests {
     /// interfere with them.)
     #[test]
     fn real_signal_sets_the_flag() {
+        let _signal = signal_lock();
         install();
         reset();
         assert!(!interrupted());
@@ -161,6 +173,7 @@ mod tests {
     /// token; the signal lands during the first.
     #[test]
     fn sequential_campaigns_survive_an_interrupt_during_the_first() {
+        let _signal = signal_lock();
         install();
         let first = InterruptToken::current();
         assert!(!first.interrupted());

@@ -221,7 +221,17 @@ impl Supervisor {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+    /// Serializes the watchdog tests: they share the process-wide
+    /// `WatchdogPool`, whose thread count
+    /// `watchdog_attempts_share_pooled_threads` asserts on.
+    fn watchdog_pool_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        // The guarded value is `()`, so a test that panicked holding the
+        // lock left nothing inconsistent behind.
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn policy(watchdog_ms: Option<u64>, retries: u32) -> SupervisorPolicy {
         SupervisorPolicy {
@@ -284,6 +294,7 @@ mod tests {
 
     #[test]
     fn watchdog_cuts_off_a_hang() {
+        let _pool = watchdog_pool_lock();
         let mut sup = Supervisor::new(policy(Some(40), 0));
         let result: Result<u32, _> = sup.run_trial(3, 3, || {
             || {
@@ -299,12 +310,14 @@ mod tests {
 
     #[test]
     fn watchdog_lets_fast_trials_through() {
+        let _pool = watchdog_pool_lock();
         let mut sup = Supervisor::new(policy(Some(5_000), 0));
         assert_eq!(sup.run_trial(4, 4, || || 7), Ok(7));
     }
 
     #[test]
     fn watchdog_attempts_share_pooled_threads() {
+        let _pool = watchdog_pool_lock();
         // Many sequential watchdogged trials must not spawn a thread
         // each: the global pool grows only when attempts overlap (e.g. a
         // stale hung job from another test still occupies a worker), so
