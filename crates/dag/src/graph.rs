@@ -39,13 +39,24 @@ impl TaskGraph {
         assert!(from.index() < self.specs.len(), "edge source out of range");
         assert!(to.index() < self.specs.len(), "edge target out of range");
         assert_ne!(from, to, "self-loop on {from}");
-        assert!(
-            !self.succs[from.index()].contains(&to),
-            "duplicate edge {from} -> {to}"
-        );
+        assert!(!self.has_edge(from, to), "duplicate edge {from} -> {to}");
         self.succs[from.index()].push(to);
         self.preds[to.index()].push(from);
         self.edge_count += 1;
+    }
+
+    /// Returns `true` if the edge `from → to` exists.
+    ///
+    /// Scans the shorter of `succs(from)` and `preds(to)`, so building a
+    /// fork or a join of fan-out `w` edge by edge costs O(w), not O(w²).
+    pub fn has_edge(&self, from: TaskId, to: TaskId) -> bool {
+        let succs = &self.succs[from.index()];
+        let preds = &self.preds[to.index()];
+        if succs.len() <= preds.len() {
+            succs.contains(&to)
+        } else {
+            preds.contains(&from)
+        }
     }
 
     /// Number of tasks `n`.
@@ -349,6 +360,52 @@ mod tests {
         let b = g.add_task(spec(1, 1));
         g.add_edge(a, b);
         g.add_edge(a, b);
+    }
+
+    /// A fork `hub → leaf_i` (long `succs(hub)`, one-entry preds) and a
+    /// join `leaf_i → hub` (one-entry succs, long `preds(hub)`), so
+    /// `has_edge` takes each side of its shorter-list choice.
+    fn fan(fork: bool) -> (TaskGraph, TaskId, Vec<TaskId>) {
+        let mut g = TaskGraph::new();
+        let hub = g.add_task(spec(1, 1));
+        let leaves: Vec<TaskId> = (0..5).map(|_| g.add_task(spec(1, 1))).collect();
+        for &l in &leaves {
+            if fork {
+                g.add_edge(hub, l);
+            } else {
+                g.add_edge(l, hub);
+            }
+        }
+        (g, hub, leaves)
+    }
+
+    #[test]
+    fn has_edge_on_both_scan_sides() {
+        let (g, hub, leaves) = fan(true);
+        assert!(leaves
+            .iter()
+            .all(|&l| g.has_edge(hub, l) && !g.has_edge(l, hub)));
+        let (g, hub, leaves) = fan(false);
+        assert!(leaves
+            .iter()
+            .all(|&l| g.has_edge(l, hub) && !g.has_edge(hub, l)));
+        assert!(!g.has_edge(leaves[0], leaves[1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate edge T0 -> T3")]
+    fn duplicate_edge_rejected_when_preds_is_shorter() {
+        // succs(T0) has 5 entries, preds(T3) one.
+        let (mut g, hub, leaves) = fan(true);
+        g.add_edge(hub, leaves[2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate edge T3 -> T0")]
+    fn duplicate_edge_rejected_when_succs_is_shorter() {
+        // succs(T3) has one entry, preds(T0) 5.
+        let (mut g, hub, leaves) = fan(false);
+        g.add_edge(leaves[2], hub);
     }
 
     #[test]

@@ -868,7 +868,7 @@ fn run_job(
                     if let Some(b) = budget {
                         config = config.budget(b);
                     }
-                    config.try_run(&mut StaticSource::new(inst.clone()), sched.as_mut())
+                    config.try_run(&mut StaticSource::new(inst), sched.as_mut())
                 })
             }
         })

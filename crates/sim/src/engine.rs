@@ -242,6 +242,9 @@ const RELEASED: u8 = 1;
 const STARTED: u8 = 1 << 1;
 /// Flag bit: the task completed.
 const COMPLETED: u8 = 1 << 2;
+/// Transient flag bit: the task already appeared in the `preds` list
+/// being validated. Set and cleared within one release.
+const LISTED: u8 = 1 << 3;
 
 /// Reusable engine working memory: the per-task state columns and the
 /// completion-event calendar queue.
@@ -269,7 +272,8 @@ const COMPLETED: u8 = 1 << 2;
 /// reuses scratch is bit-for-bit identical to one that does not.
 #[derive(Default)]
 pub struct EngineScratch {
-    /// `RELEASED | STARTED | COMPLETED` bits (0 = unreleased).
+    /// `RELEASED | STARTED | COMPLETED` bits (0 = unreleased), plus the
+    /// transient `LISTED` bit while a release's `preds` are validated.
     flags: Vec<u8>,
     /// Per-task processor requirement `p`.
     procs: Vec<u32>,
@@ -593,16 +597,28 @@ where
                 }
                 .into());
             }
+            // A repeated predecessor is caught by marking each one as it
+            // passes; the marks come off in a second pass over the same
+            // slice. An early return may leave marks behind: the run is
+            // over, and `EngineScratch::reset` clears the column.
             for &p in &rel.preds {
-                match flags.get(p.index()) {
-                    Some(&f) if f & RELEASED != 0 => {
-                        if f & COMPLETED == 0 {
+                match flags.get_mut(p.index()) {
+                    Some(f) if *f & RELEASED != 0 => {
+                        if *f & COMPLETED == 0 {
                             return Err(SourceViolation::PrematureRelease {
                                 task: rel.id,
                                 pred: p,
                             }
                             .into());
                         }
+                        if *f & LISTED != 0 {
+                            return Err(SourceViolation::DuplicatePredecessor {
+                                task: rel.id,
+                                pred: p,
+                            }
+                            .into());
+                        }
+                        *f |= LISTED;
                     }
                     _ => {
                         return Err(
@@ -610,6 +626,9 @@ where
                         )
                     }
                 }
+            }
+            for &p in &rel.preds {
+                flags[p.index()] &= !LISTED;
             }
             // The scheduler cannot observe engine state, so notifying it
             // before the graph rebuild is equivalent to the legacy order
@@ -1334,6 +1353,30 @@ mod tests {
                 pred: TaskId(7),
             })
         );
+    }
+
+    #[test]
+    fn repeated_predecessor_is_source_violation_in_both_modes() {
+        // T1 lists T0 twice. A full-recording run used to panic in the
+        // revealed-graph rebuild, and a stats-only run accepted it.
+        for stats_only in [false, true] {
+            let mut src = RogueSource {
+                procs: 2,
+                initial: vec![rel(0, 1, 1, vec![])],
+                after_first: vec![rel(1, 1, 1, vec![TaskId(0), TaskId(0)])],
+            };
+            let config = EngineConfig::new();
+            let config = if stats_only { config.stats_only() } else { config };
+            let err = config.try_run(&mut src, &mut Greedy::new()).unwrap_err();
+            assert_eq!(
+                err,
+                RunError::SourceViolation(SourceViolation::DuplicatePredecessor {
+                    task: TaskId(1),
+                    pred: TaskId(0),
+                }),
+                "stats_only = {stats_only}"
+            );
+        }
     }
 
     #[test]

@@ -41,6 +41,13 @@ pub enum SourceViolation {
         /// The unknown predecessor id.
         pred: TaskId,
     },
+    /// A released task lists the same predecessor more than once.
+    DuplicatePredecessor {
+        /// The task carrying the repeated reference.
+        task: TaskId,
+        /// The predecessor listed twice.
+        pred: TaskId,
+    },
     /// A released task demands more processors than the platform has —
     /// it could never be started by any scheduler.
     Oversubscription {
@@ -71,6 +78,11 @@ impl fmt::Display for SourceViolation {
                 f,
                 "source contract violated: released task {task} references \
                  unknown predecessor {pred}"
+            ),
+            SourceViolation::DuplicatePredecessor { task, pred } => write!(
+                f,
+                "source contract violated: released task {task} lists \
+                 predecessor {pred} more than once"
             ),
             SourceViolation::Oversubscription { task, needed, platform } => write!(
                 f,
