@@ -89,12 +89,6 @@ impl OnlineScheduler for ListScheduler {
 
     fn on_complete(&mut self, _task: TaskId, _now: Time) {}
 
-    fn decide(&mut self, now: Time, free: u32) -> Vec<TaskId> {
-        let mut out = Vec::new();
-        self.decide_into(now, free, &mut out);
-        out
-    }
-
     fn decide_into(&mut self, _now: Time, mut free: u32, out: &mut Vec<TaskId>) {
         // Every rigid task needs ≥ 1 processor, so a saturated machine
         // (or an empty list) can never yield a start — skip the scan,

@@ -197,12 +197,6 @@ impl OnlineScheduler for CatBatch {
         }
     }
 
-    fn decide(&mut self, now: Time, free: u32) -> Vec<TaskId> {
-        let mut out = Vec::new();
-        self.decide_into(now, free, &mut out);
-        out
-    }
-
     fn decide_into(&mut self, now: Time, mut free: u32, out: &mut Vec<TaskId>) {
         // With an active batch, a saturated machine or a drained pool can
         // never yield a start (every task needs ≥ 1 processor) — skip the
@@ -255,7 +249,7 @@ impl OnlineScheduler for CatBatch {
         }
         // Re-pool inside the current batch: the failed task belongs to
         // the batch that started it, which cannot have closed while the
-        // attempt ran. It will be restarted by a later `decide`, and the
+        // attempt ran. It will be restarted by a later decision, and the
         // batch barrier holds until it finally completes.
         let cur = self
             .current

@@ -82,20 +82,16 @@ impl OnlineScheduler for CatPrio {
 
     fn on_complete(&mut self, _task: TaskId, _now: Time) {}
 
-    fn decide(&mut self, _now: Time, mut free: u32) -> Vec<TaskId> {
-        let mut out = Vec::new();
-        let mut taken = Vec::new();
-        for (&key, &(id, procs)) in &self.ready {
+    fn decide_into(&mut self, _now: Time, mut free: u32, out: &mut Vec<TaskId>) {
+        self.ready.retain(|_, &mut (id, procs)| {
             if procs <= free {
                 free -= procs;
                 out.push(id);
-                taken.push(key);
+                false
+            } else {
+                true
             }
-        }
-        for key in taken {
-            self.ready.remove(&key);
-        }
-        out
+        });
     }
 }
 
@@ -184,7 +180,7 @@ impl OnlineScheduler for CatBatchBackfill {
         }
     }
 
-    fn decide(&mut self, now: Time, mut free: u32) -> Vec<TaskId> {
+    fn decide_into(&mut self, now: Time, mut free: u32, out: &mut Vec<TaskId>) {
         if self.current.is_none() {
             match self.batches.pop_first() {
                 Some((category, pool)) => {
@@ -195,11 +191,10 @@ impl OnlineScheduler for CatBatchBackfill {
                         intruders: HashMap::new(),
                     });
                 }
-                None => return Vec::new(),
+                None => return,
             }
         }
         let cur = self.current.as_mut().expect("just ensured");
-        let mut out = Vec::new();
 
         // 1. Batch members first (plain ScheduleIndep greed).
         cur.pool.retain(|&(id, p, t)| {
@@ -220,7 +215,7 @@ impl OnlineScheduler for CatBatchBackfill {
         if cur.pool.is_empty() {
             let barrier = match cur.running.values().max() {
                 Some(&b) => b,
-                None => return out, // barrier falling; next batch takes over
+                None => return, // barrier falling; next batch takes over
             };
             let mut backfills = Vec::new();
             for (cat, pool) in self.batches.iter_mut() {
@@ -245,7 +240,6 @@ impl OnlineScheduler for CatBatchBackfill {
                 out.push(id);
             }
         }
-        out
     }
 }
 
@@ -348,15 +342,15 @@ impl OnlineScheduler for EstimatedCatBatch {
         }
     }
 
-    fn decide(&mut self, _now: Time, mut free: u32) -> Vec<TaskId> {
+    fn decide_into(&mut self, _now: Time, mut free: u32, out: &mut Vec<TaskId>) {
         if self.current.is_none() {
             match self.batches.pop_first() {
                 Some((cat, pool)) => self.current = Some((cat, 0, pool)),
-                None => return Vec::new(),
+                None => return,
             }
         }
         let (_, running, pool) = self.current.as_mut().expect("just ensured");
-        let mut out = Vec::new();
+        let before = out.len();
         pool.retain(|&(id, p)| {
             if p <= free {
                 free -= p;
@@ -366,8 +360,7 @@ impl OnlineScheduler for EstimatedCatBatch {
                 true
             }
         });
-        *running += out.len();
-        out
+        *running += out.len() - before;
     }
 }
 

@@ -265,8 +265,8 @@ mod tests {
         fn on_complete(&mut self, t: TaskId, now: Time) {
             self.inner.on_complete(t, now);
         }
-        fn decide(&mut self, now: Time, free: u32) -> Vec<TaskId> {
-            self.inner.decide(now, free)
+        fn decide_into(&mut self, now: Time, free: u32, out: &mut Vec<TaskId>) {
+            self.inner.decide_into(now, free, out)
         }
         fn on_failure(&mut self, t: TaskId, now: Time) -> rigid_sim::FailureResponse {
             self.inner.on_failure(t, now)

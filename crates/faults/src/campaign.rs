@@ -440,8 +440,8 @@ mod tests {
             fn on_complete(&mut self, t: TaskId, now: Time) {
                 self.inner.on_complete(t, now);
             }
-            fn decide(&mut self, now: Time, free: u32) -> Vec<TaskId> {
-                self.inner.decide(now, free)
+            fn decide_into(&mut self, now: Time, free: u32, out: &mut Vec<TaskId>) {
+                self.inner.decide_into(now, free, out)
             }
             fn on_failure(&mut self, t: TaskId, now: Time) -> FailureResponse {
                 panic!("grenade scheduler exploded on failure of {t} at t={now}");

@@ -410,7 +410,7 @@ impl CalendarQueue {
     /// the cohort's timestamp, or `None` if the queue is empty.
     ///
     /// This is the engine's batch grain: one cohort per decision
-    /// instant, then one `decide_into` round for the whole batch.
+    /// instant, then one `decide_into` call for the whole batch.
     pub fn pop_cohort_into(&mut self, out: &mut Vec<Event>) -> Option<Time> {
         out.clear();
         let first = self.pop()?;

@@ -16,31 +16,30 @@
 //! The simulation loop is event-driven (see `docs/performance.md` for
 //! the full design):
 //!
-//! * an index-based **4-ary min-heap** of attempt completion/failure
-//!   events backed by one flat `Vec` (no per-event allocation, shallower
-//!   sift paths than a binary heap), keyed on the exact `rigid-time`
-//!   instant with a `(start_seq, TaskId)` tie-break — `start_seq`
-//!   preserves the legacy processing order for simultaneous events
-//!   (start order), and since the `(at, seq)` key is unique, *any*
-//!   correct min-heap pops the same order: runs stay bit-for-bit
-//!   deterministic;
+//! * a dyadic radix **calendar queue** ([`crate::calendar`]) of attempt
+//!   completion/failure events, keyed on the exact `rigid-time` instant
+//!   with a `(start_seq, TaskId)` tie-break — `start_seq` preserves the
+//!   legacy processing order for simultaneous events (start order), and
+//!   since the key is unique the pop order is fully determined: runs
+//!   stay bit-for-bit deterministic. Events sharing an instant are
+//!   drained together as one cohort;
 //! * **struct-of-arrays** per-task state indexed by the source's task
 //!   ids (the source contract allocates dense ids) — each loop phase
 //!   touches only the columns it needs, instead of striding over a wide
 //!   per-task struct;
-//! * incremental free-capacity and ready-set accounting — `decide()` is
-//!   consulted only at release/completion/failure/capacity events, and
-//!   duplicate-start detection uses a per-round stamp instead of a
-//!   freshly allocated set.
+//! * incremental free-capacity and ready-set accounting, and **one**
+//!   [`OnlineScheduler::decide_into`] call per decision instant (time
+//!   zero and each release/completion/failure/capacity instant), which
+//!   appends every task to start then; duplicate-start detection stamps
+//!   each started task with the decision's number instead of allocating
+//!   a set.
 //!
-//! The pre-refactor stepping engine is preserved verbatim in
-//! [`crate::reference`]; differential tests assert both produce
-//! identical [`RunResult`]s.
+//! The pre-refactor stepping engine is preserved in [`crate::reference`];
+//! differential tests assert both produce identical [`RunResult`]s.
 //!
 //! # Entry point
 //!
-//! One builder, [`EngineConfig`], replaces the old `run` /
-//! `try_run` / `try_run_faulty` / `try_run_budgeted` zoo:
+//! One builder, [`EngineConfig`], is the only way to run the engine:
 //!
 //! ```ignore
 //! let result = EngineConfig::new()
@@ -51,8 +50,7 @@
 //! ```
 //!
 //! [`EngineConfig::run`] is the panicking variant for tests and callers
-//! that treat violations as bugs. The old free functions remain as thin
-//! deprecated wrappers for the reference/differential harness.
+//! that treat violations as bugs.
 
 use crate::calendar::{CalendarQueue, Event};
 use crate::error::{BudgetKind, RunError, SchedulerViolation, SourceViolation};
@@ -87,11 +85,13 @@ pub struct EngineStats {
     /// dyadics, behind-the-frontier keys. 0 on a pure-dyadic run — the
     /// `bench --profile` smoke asserts exactly that.
     pub rational_fallbacks: u64,
-    /// `decide_into` consultations (equals [`RunResult::decisions`];
-    /// mirrored here so profile output needs only the stats block).
+    /// `decide_into` consultations, one per decision instant (equals
+    /// [`RunResult::decisions`]; mirrored here so profile output needs
+    /// only the stats block). A static, fault-free run makes exactly
+    /// `batches + 1`: one at time zero and one per cohort.
     pub decide_calls: u64,
     /// Completion/failure cohorts drained: queue pops grouped by
-    /// identical timestamp, each answered by one decision round.
+    /// identical timestamp, each answered by one decision.
     pub batches: u64,
     /// Largest single cohort (events sharing one timestamp).
     pub max_batch: u64,
@@ -277,8 +277,8 @@ pub struct EngineScratch {
     flags: Vec<u8>,
     /// Per-task processor requirement `p`.
     procs: Vec<u32>,
-    /// Per-task decide-round stamp for duplicate-start detection
-    /// (0 = unseen; rounds start at 1).
+    /// Per-task number of the decision that last started the task, for
+    /// duplicate-start detection (0 = unseen; decisions count from 1).
     seen: Vec<u64>,
     /// Per-task execution attempts started so far.
     attempts: Vec<u32>,
@@ -455,65 +455,6 @@ impl<'a> EngineConfig<'a> {
     }
 }
 
-/// Runs `scheduler` against `source` until every revealed task completes,
-/// panicking on any violation.
-#[deprecated(note = "use `EngineConfig::new().run(source, scheduler)`")]
-pub fn run(source: &mut dyn InstanceSource, scheduler: &mut dyn OnlineScheduler) -> RunResult {
-    EngineConfig::new().run(source, scheduler)
-}
-
-/// Runs `scheduler` against `source` until every revealed task
-/// completes, returning contract violations as typed [`RunError`]s.
-#[deprecated(note = "use `EngineConfig::new().try_run(source, scheduler)`")]
-pub fn try_run(
-    source: &mut dyn InstanceSource,
-    scheduler: &mut dyn OnlineScheduler,
-) -> Result<RunResult, RunError> {
-    EngineConfig::new().try_run(source, scheduler)
-}
-
-/// Runs `scheduler` against `source` under a [`FaultModel`].
-#[deprecated(note = "use `EngineConfig::new().faults(faults).try_run(source, scheduler)`")]
-pub fn try_run_faulty(
-    source: &mut dyn InstanceSource,
-    scheduler: &mut dyn OnlineScheduler,
-    faults: &mut dyn FaultModel,
-) -> Result<RunResult, RunError> {
-    EngineConfig::new().faults(faults).try_run(source, scheduler)
-}
-
-/// Runs `scheduler` against `source` under a [`FaultModel`] and a hard
-/// [`RunBudget`].
-#[deprecated(
-    note = "use `EngineConfig::new().faults(faults).budget(budget).try_run(source, scheduler)`"
-)]
-pub fn try_run_budgeted(
-    source: &mut dyn InstanceSource,
-    scheduler: &mut dyn OnlineScheduler,
-    faults: &mut dyn FaultModel,
-    budget: RunBudget,
-) -> Result<RunResult, RunError> {
-    EngineConfig::new().faults(faults).budget(budget).try_run(source, scheduler)
-}
-
-/// Runs with a fault model, a budget, and caller-owned [`EngineScratch`].
-#[deprecated(
-    note = "use `EngineConfig::new().faults(faults).budget(budget).scratch(scratch).try_run(source, scheduler)`"
-)]
-pub fn try_run_budgeted_reusing(
-    source: &mut dyn InstanceSource,
-    scheduler: &mut dyn OnlineScheduler,
-    faults: &mut dyn FaultModel,
-    budget: RunBudget,
-    scratch: &mut EngineScratch,
-) -> Result<RunResult, RunError> {
-    EngineConfig::new()
-        .faults(faults)
-        .budget(budget)
-        .scratch(scratch)
-        .try_run(source, scheduler)
-}
-
 /// The engine loop proper. All entry points funnel here.
 fn run_core<S, C, F>(
     source: &mut S,
@@ -553,7 +494,6 @@ where
     let mut completion_index: u64 = 0;
     let mut used: u32 = 0;
     let mut ready: u64 = 0;
-    let mut round: u64 = 0;
     let mut decisions: u64 = 0;
     let mut stats = EngineStats::default();
     let mut log = FaultLog::new(procs);
@@ -676,126 +616,119 @@ where
         stats.peak_ready = stats.peak_ready.max(ready);
         budget.check(stats.events, now)?;
 
-        // Ask the scheduler what to start now. Repeat until it passes,
-        // since starting a task may change what it wants (some schedulers
-        // return one task per call). Capacity dips restrict *new* starts
-        // only; running tasks keep their processors.
+        // Ask the scheduler, once, for every task to start now. Capacity
+        // dips restrict *new* starts only; running tasks keep their
+        // processors.
         let capacity = faults.capacity(now, procs).min(procs);
         log.min_capacity = log.min_capacity.min(capacity);
         let mut avail = capacity.saturating_sub(used);
-        loop {
-            decisions += 1;
-            to_start.clear();
-            scheduler.decide_into(now, avail, to_start);
-            if to_start.is_empty() {
-                break;
+        decisions += 1;
+        to_start.clear();
+        scheduler.decide_into(now, avail, to_start);
+        for &id in to_start.iter() {
+            let idx = id.index();
+            // The legacy engine rejects an unknown id before its
+            // duplicate check can ever re-encounter it, so
+            // UnknownTask takes precedence here too.
+            if flags.get(idx).is_none_or(|&f| f & RELEASED == 0) {
+                return Err(SchedulerViolation::UnknownTask { task: id }.into());
             }
-            round += 1;
-            for &id in to_start.iter() {
-                let idx = id.index();
-                // The legacy engine rejects an unknown id before its
-                // duplicate check can ever re-encounter it, so
-                // UnknownTask takes precedence here too.
-                if flags.get(idx).is_none_or(|&f| f & RELEASED == 0) {
-                    return Err(SchedulerViolation::UnknownTask { task: id }.into());
+            if seen[idx] == decisions {
+                return Err(SchedulerViolation::DuplicateDecision { task: id }.into());
+            }
+            seen[idx] = decisions;
+            if flags[idx] & (STARTED | COMPLETED) != 0 {
+                return Err(SchedulerViolation::DoubleStart { task: id }.into());
+            }
+            let spec_procs = procs_of[idx];
+            if spec_procs > avail {
+                return Err(SchedulerViolation::Oversubscribed {
+                    task: id,
+                    needed: spec_procs,
+                    free: avail,
                 }
-                if seen[idx] == round {
-                    return Err(SchedulerViolation::DuplicateDecision { task: id }.into());
-                }
-                seen[idx] = round;
-                if flags[idx] & (STARTED | COMPLETED) != 0 {
-                    return Err(SchedulerViolation::DoubleStart { task: id }.into());
-                }
-                let spec_procs = procs_of[idx];
-                if spec_procs > avail {
-                    return Err(SchedulerViolation::Oversubscribed {
-                        task: id,
-                        needed: spec_procs,
-                        free: avail,
-                    }
-                    .into());
-                }
-                flags[idx] |= STARTED;
-                let attempt = attempts[idx];
-                attempts[idx] += 1;
-                let spec_time = time_of[idx];
-                avail -= spec_procs;
-                used += spec_procs;
-                ready -= 1;
+                .into());
+            }
+            flags[idx] |= STARTED;
+            let attempt = attempts[idx];
+            attempts[idx] += 1;
+            let spec_time = time_of[idx];
+            avail -= spec_procs;
+            used += spec_procs;
+            ready -= 1;
 
-                let fate = faults.on_start(id, attempt, now, spec_time, spec_procs);
-                let (leaves_at, fails) = match fate {
-                    Attempt::Complete => {
-                        let finish = now + spec_time;
-                        if !stats_only {
-                            schedule.place(id, now, finish, spec_procs);
-                        }
-                        if attempt > 0 {
-                            log.attempts.push(AttemptRecord {
-                                task: id,
-                                attempt,
-                                start: now,
-                                end: finish,
-                                procs: spec_procs,
-                                outcome: AttemptOutcome::Completed,
-                            });
-                        }
-                        (finish, false)
+            let fate = faults.on_start(id, attempt, now, spec_time, spec_procs);
+            let (leaves_at, fails) = match fate {
+                Attempt::Complete => {
+                    let finish = now + spec_time;
+                    if !stats_only {
+                        schedule.place(id, now, finish, spec_procs);
                     }
-                    Attempt::Inflated { actual } => {
-                        assert!(
-                            actual >= spec_time,
-                            "fault model shrank task {id}: {actual} < nominal {spec_time}"
-                        );
-                        let finish = now + actual;
-                        if !stats_only {
-                            schedule.place(id, now, finish, spec_procs);
-                        }
-                        log.inflated_area += (actual - spec_time).mul_int(spec_procs as i64);
+                    if attempt > 0 {
                         log.attempts.push(AttemptRecord {
                             task: id,
                             attempt,
                             start: now,
                             end: finish,
                             procs: spec_procs,
-                            outcome: AttemptOutcome::Inflated {
-                                nominal: spec_time,
-                                actual,
-                            },
+                            outcome: AttemptOutcome::Completed,
                         });
-                        (finish, false)
                     }
-                    Attempt::Fail { after } => {
-                        assert!(
-                            after.is_positive() && after <= spec_time,
-                            "fault model failed task {id} outside (0, t]: {after}"
-                        );
-                        let dies_at = now + after;
-                        log.failures += 1;
-                        log.wasted_area += after.mul_int(spec_procs as i64);
-                        log.attempts.push(AttemptRecord {
-                            task: id,
-                            attempt,
-                            start: now,
-                            end: dies_at,
-                            procs: spec_procs,
-                            outcome: AttemptOutcome::Failed {
-                                nominal: spec_time,
-                                ran: after,
-                            },
-                        });
-                        (dies_at, true)
+                    (finish, false)
+                }
+                Attempt::Inflated { actual } => {
+                    assert!(
+                        actual >= spec_time,
+                        "fault model shrank task {id}: {actual} < nominal {spec_time}"
+                    );
+                    let finish = now + actual;
+                    if !stats_only {
+                        schedule.place(id, now, finish, spec_procs);
                     }
-                };
-                events.push(Event {
-                    at: leaves_at,
-                    seq: start_seq,
-                    id,
-                    procs: spec_procs,
-                    fails,
-                });
-                start_seq += 1;
-            }
+                    log.inflated_area += (actual - spec_time).mul_int(spec_procs as i64);
+                    log.attempts.push(AttemptRecord {
+                        task: id,
+                        attempt,
+                        start: now,
+                        end: finish,
+                        procs: spec_procs,
+                        outcome: AttemptOutcome::Inflated {
+                            nominal: spec_time,
+                            actual,
+                        },
+                    });
+                    (finish, false)
+                }
+                Attempt::Fail { after } => {
+                    assert!(
+                        after.is_positive() && after <= spec_time,
+                        "fault model failed task {id} outside (0, t]: {after}"
+                    );
+                    let dies_at = now + after;
+                    log.failures += 1;
+                    log.wasted_area += after.mul_int(spec_procs as i64);
+                    log.attempts.push(AttemptRecord {
+                        task: id,
+                        attempt,
+                        start: now,
+                        end: dies_at,
+                        procs: spec_procs,
+                        outcome: AttemptOutcome::Failed {
+                            nominal: spec_time,
+                            ran: after,
+                        },
+                    });
+                    (dies_at, true)
+                }
+            };
+            events.push(Event {
+                at: leaves_at,
+                seq: start_seq,
+                id,
+                procs: spec_procs,
+                fails,
+            });
+            start_seq += 1;
         }
 
         let next_event = events.peek().map(|e| e.at);
@@ -869,7 +802,7 @@ where
             }
             budget.check(stats.events, now)?;
             // Clock arrivals landing exactly at this instant join the
-            // same decision round.
+            // same decision.
             source.timed_releases_into(now, pending_releases);
         } else if next_arrival == Some(tick) {
             source.timed_releases_into(now, pending_releases);
@@ -938,8 +871,7 @@ mod tests {
             self.queue.push((task.id, task.spec.procs));
         }
         fn on_complete(&mut self, _task: TaskId, _now: Time) {}
-        fn decide(&mut self, _now: Time, mut free: u32) -> Vec<TaskId> {
-            let mut out = Vec::new();
+        fn decide_into(&mut self, _now: Time, mut free: u32, out: &mut Vec<TaskId>) {
             self.queue.retain(|&(id, p)| {
                 if p <= free {
                     free -= p;
@@ -949,7 +881,6 @@ mod tests {
                     true
                 }
             });
-            out
         }
     }
 
@@ -1046,9 +977,7 @@ mod tests {
         }
         fn on_release(&mut self, _t: &ReleasedTask, _now: Time) {}
         fn on_complete(&mut self, _t: TaskId, _now: Time) {}
-        fn decide(&mut self, _now: Time, _free: u32) -> Vec<TaskId> {
-            Vec::new()
-        }
+        fn decide_into(&mut self, _now: Time, _free: u32, _out: &mut Vec<TaskId>) {}
     }
 
     #[test]
@@ -1089,8 +1018,8 @@ mod tests {
             self.pending.push(t.id);
         }
         fn on_complete(&mut self, _t: TaskId, _now: Time) {}
-        fn decide(&mut self, _now: Time, _free: u32) -> Vec<TaskId> {
-            std::mem::take(&mut self.pending)
+        fn decide_into(&mut self, _now: Time, _free: u32, out: &mut Vec<TaskId>) {
+            out.append(&mut self.pending);
         }
     }
 
@@ -1128,9 +1057,7 @@ mod tests {
         ));
     }
 
-    /// Returns each id as its own one-element decide round, then repeats
-    /// the same id — the engine must flag the repeat as `DoubleStart`
-    /// (already started), and a same-round repeat as `DuplicateDecision`.
+    /// Lists the same id twice in one decision: `DuplicateDecision`.
     #[test]
     fn duplicate_decision_same_round_detected() {
         struct Dup {
@@ -1144,9 +1071,11 @@ mod tests {
                 self.ids.push(t.id);
             }
             fn on_complete(&mut self, _t: TaskId, _now: Time) {}
-            fn decide(&mut self, _now: Time, _free: u32) -> Vec<TaskId> {
-                // Return the first released id twice in ONE round.
-                self.ids.first().map(|&id| vec![id, id]).unwrap_or_default()
+            fn decide_into(&mut self, _now: Time, _free: u32, out: &mut Vec<TaskId>) {
+                // Return the first released id twice in ONE decision.
+                if let Some(&id) = self.ids.first() {
+                    out.extend([id, id]);
+                }
             }
         }
         let inst = DagBuilder::new().task("a", Time::ONE, 1).build(2);
@@ -1159,37 +1088,58 @@ mod tests {
         );
     }
 
+    /// Starts every released task at the first decision, then repeats
+    /// the first one at the second: the engine flags the repeat as
+    /// `DoubleStart` whether that task has already completed (a alone)
+    /// or is still running (a beside a shorter b, whose completion
+    /// triggers the second decision).
     #[test]
     fn double_start_across_rounds_detected() {
         struct Again {
-            id: Option<TaskId>,
+            ids: Vec<TaskId>,
             rounds: u32,
+            repeated_at: Option<Time>,
         }
         impl OnlineScheduler for Again {
             fn name(&self) -> &'static str {
                 "again"
             }
             fn on_release(&mut self, t: &ReleasedTask, _now: Time) {
-                self.id = Some(t.id);
+                self.ids.push(t.id);
             }
             fn on_complete(&mut self, _t: TaskId, _now: Time) {}
-            fn decide(&mut self, _now: Time, _free: u32) -> Vec<TaskId> {
+            fn decide_into(&mut self, now: Time, _free: u32, out: &mut Vec<TaskId>) {
                 self.rounds += 1;
-                if self.rounds <= 2 {
-                    vec![self.id.unwrap()]
-                } else {
-                    Vec::new()
+                match self.rounds {
+                    1 => out.extend_from_slice(&self.ids),
+                    2 => {
+                        self.repeated_at = Some(now);
+                        out.push(self.ids[0]);
+                    }
+                    _ => {}
                 }
             }
         }
-        let inst = DagBuilder::new().task("a", Time::from_int(5), 1).build(2);
-        let err = EngineConfig::new()
-            .try_run(&mut StaticSource::new(inst), &mut Again { id: None, rounds: 0 })
-            .unwrap_err();
-        assert_eq!(
-            err,
-            RunError::SchedulerViolation(SchedulerViolation::DoubleStart { task: TaskId(0) })
-        );
+        let completed = DagBuilder::new().task("a", Time::from_int(5), 1).build(2);
+        let running = DagBuilder::new()
+            .task("a", Time::from_int(5), 1)
+            .task("b", Time::ONE, 1)
+            .build(2);
+        for (inst, repeat_at) in [(completed, Time::from_int(5)), (running, Time::ONE)] {
+            let mut sched = Again {
+                ids: vec![],
+                rounds: 0,
+                repeated_at: None,
+            };
+            let err = EngineConfig::new()
+                .try_run(&mut StaticSource::new(inst), &mut sched)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                RunError::SchedulerViolation(SchedulerViolation::DoubleStart { task: TaskId(0) })
+            );
+            assert_eq!(sched.repeated_at, Some(repeat_at));
+        }
     }
 
     #[test]
@@ -1488,8 +1438,8 @@ mod tests {
             self.inner.queue.push((t, self.widths[&t]));
             FailureResponse::Retry
         }
-        fn decide(&mut self, now: Time, free: u32) -> Vec<TaskId> {
-            self.inner.decide(now, free)
+        fn decide_into(&mut self, now: Time, free: u32, out: &mut Vec<TaskId>) {
+            self.inner.decide_into(now, free, out)
         }
     }
 

@@ -5,9 +5,9 @@
 //! illegal release stream (the online model's revelation rules,
 //! Section 3.1 of the paper); a [`SchedulerViolation`] means the
 //! [`OnlineScheduler`] made an illegal move. Both are recoverable
-//! through [`try_run`](crate::engine::try_run); the panicking
-//! [`run`](crate::engine::run) wrapper remains for tests and callers
-//! that treat violations as bugs.
+//! through [`EngineConfig::try_run`](crate::EngineConfig::try_run); the
+//! panicking [`EngineConfig::run`](crate::EngineConfig::run) remains for
+//! tests and callers that treat violations as bugs.
 //!
 //! [`InstanceSource`]: rigid_dag::InstanceSource
 //! [`OnlineScheduler`]: crate::OnlineScheduler
@@ -100,22 +100,22 @@ impl fmt::Display for SourceViolation {
 /// An illegal move by the online scheduler.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchedulerViolation {
-    /// `decide` listed the same task twice in one decision.
+    /// `decide_into` listed the same task twice in one decision.
     DuplicateDecision {
         /// The repeated task.
         task: TaskId,
     },
-    /// `decide` started a task that was never released.
+    /// `decide_into` started a task that was never released.
     UnknownTask {
         /// The unknown task id.
         task: TaskId,
     },
-    /// `decide` started a task that is already running or finished.
+    /// `decide_into` started a task that is already running or finished.
     DoubleStart {
         /// The task started again.
         task: TaskId,
     },
-    /// `decide` started tasks whose combined demand exceeds the free
+    /// `decide_into` started tasks whose combined demand exceeds the free
     /// processors.
     Oversubscribed {
         /// The task that did not fit.

@@ -24,12 +24,10 @@
 //!         self.0.push((t.id, t.spec.procs));
 //!     }
 //!     fn on_complete(&mut self, _: TaskId, _: Time) {}
-//!     fn decide(&mut self, _: Time, mut free: u32) -> Vec<TaskId> {
-//!         let mut out = Vec::new();
+//!     fn decide_into(&mut self, _: Time, mut free: u32, out: &mut Vec<TaskId>) {
 //!         self.0.retain(|&(id, p)| {
 //!             if p <= free { free -= p; out.push(id); false } else { true }
 //!         });
-//!         out
 //!     }
 //! }
 //!
@@ -64,8 +62,6 @@ pub mod svg;
 pub mod trace;
 pub mod scheduler;
 
-#[allow(deprecated)]
-pub use engine::{run, try_run, try_run_budgeted, try_run_budgeted_reusing, try_run_faulty};
 pub use engine::{EngineConfig, EngineScratch, EngineStats, RunBudget, RunResult};
 pub use error::{BudgetKind, RunError, SchedulerViolation, SourceViolation};
 pub use fault::{Attempt, AttemptOutcome, AttemptRecord, FaultLog, FaultModel, NoFaults};

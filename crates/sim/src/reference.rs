@@ -1,9 +1,9 @@
-//! The pre-refactor *stepping* engine, kept verbatim as a frozen
-//! reference implementation.
+//! The pre-refactor *stepping* engine, kept as a frozen reference
+//! implementation.
 //!
-//! [`crate::engine`] was rewritten to be event-driven (a `BinaryHeap`
-//! completion queue over dense per-task state); this module preserves
-//! the original map-based stepping loop byte for byte so that
+//! [`crate::engine`] was rewritten to be event-driven (a calendar queue
+//! of completion events over dense per-task state); this module preserves
+//! the original map-based stepping loop so that
 //!
 //! * the differential proptests in `crates/sim/tests/` can assert the
 //!   two engines produce **identical** `RunResult`s (schedules, release
@@ -14,7 +14,9 @@
 //! Do not modify this file for performance or style: its value is that
 //! it does not change. Bug fixes that alter observable behavior must be
 //! applied to **both** engines, with a differential test witnessing the
-//! agreement.
+//! agreement. The one deliberate edit so far is a contract change made
+//! in both engines: a single scheduler call per decision instant
+//! (marked in the loop below).
 
 use crate::engine::{EngineStats, RunResult};
 use crate::error::{RunError, SchedulerViolation, SourceViolation};
@@ -47,7 +49,7 @@ struct Running {
     outcome: RunningOutcome,
 }
 
-/// Stepping-engine counterpart of [`crate::engine::run`].
+/// Stepping-engine counterpart of [`EngineConfig::run`](crate::EngineConfig::run).
 ///
 /// # Panics
 /// Panics on any contract violation, exactly like the main entry point.
@@ -58,7 +60,7 @@ pub fn run(source: &mut dyn InstanceSource, scheduler: &mut dyn OnlineScheduler)
     }
 }
 
-/// Stepping-engine counterpart of [`crate::engine::try_run`].
+/// Stepping-engine counterpart of [`EngineConfig::try_run`](crate::EngineConfig::try_run).
 pub fn try_run(
     source: &mut dyn InstanceSource,
     scheduler: &mut dyn OnlineScheduler,
@@ -66,8 +68,9 @@ pub fn try_run(
     try_run_faulty(source, scheduler, &mut NoFaults)
 }
 
-/// Stepping-engine counterpart of [`crate::engine::try_run_faulty`]:
-/// the original per-step loop over `HashMap`/`BTreeMap` state.
+/// Stepping-engine counterpart of an [`EngineConfig`](crate::EngineConfig)
+/// run with [`faults`](crate::EngineConfig::faults): the original
+/// per-step loop over `HashMap`/`BTreeMap` state.
 pub fn try_run_faulty(
     source: &mut dyn InstanceSource,
     scheduler: &mut dyn OnlineScheduler,
@@ -141,113 +144,111 @@ pub fn try_run_faulty(
             scheduler.on_release(&rel, now);
         }
 
-        // Ask the scheduler what to start now. Repeat until it passes,
-        // since starting a task may change what it wants (some schedulers
-        // return one task per call). Capacity dips restrict *new* starts
-        // only; running tasks keep their processors.
+        // Ask the scheduler what to start now. Capacity dips restrict
+        // *new* starts only; running tasks keep their processors.
+        //
+        // The one deliberate edit to this frozen engine: it used to repeat
+        // the call until the scheduler returned nothing. Both engines now
+        // make exactly one call per decision instant, as the
+        // `OnlineScheduler` contract states, so `decisions` still matches.
         let capacity = faults.capacity(now, procs).min(procs);
         log.min_capacity = log.min_capacity.min(capacity);
         let mut avail = capacity.saturating_sub(used);
-        loop {
-            decisions += 1;
-            let to_start = scheduler.decide(now, avail);
-            if to_start.is_empty() {
-                break;
+        decisions += 1;
+        let to_start = scheduler.decide(now, avail);
+        let mut seen = HashSet::new();
+        for id in to_start {
+            if !seen.insert(id) {
+                return Err(SchedulerViolation::DuplicateDecision { task: id }.into());
             }
-            let mut seen = HashSet::new();
-            for id in to_start {
-                if !seen.insert(id) {
-                    return Err(SchedulerViolation::DuplicateDecision { task: id }.into());
+            let k = match known.get_mut(&id) {
+                Some(k) => k,
+                None => return Err(SchedulerViolation::UnknownTask { task: id }.into()),
+            };
+            if k.started || completed.contains(&id) {
+                return Err(SchedulerViolation::DoubleStart { task: id }.into());
+            }
+            if k.spec_procs > avail {
+                return Err(SchedulerViolation::Oversubscribed {
+                    task: id,
+                    needed: k.spec_procs,
+                    free: avail,
                 }
-                let k = match known.get_mut(&id) {
-                    Some(k) => k,
-                    None => return Err(SchedulerViolation::UnknownTask { task: id }.into()),
-                };
-                if k.started || completed.contains(&id) {
-                    return Err(SchedulerViolation::DoubleStart { task: id }.into());
-                }
-                if k.spec_procs > avail {
-                    return Err(SchedulerViolation::Oversubscribed {
-                        task: id,
-                        needed: k.spec_procs,
-                        free: avail,
-                    }
-                    .into());
-                }
-                k.started = true;
-                let attempt = k.attempts;
-                k.attempts += 1;
-                avail -= k.spec_procs;
-                used += k.spec_procs;
+                .into());
+            }
+            k.started = true;
+            let attempt = k.attempts;
+            k.attempts += 1;
+            avail -= k.spec_procs;
+            used += k.spec_procs;
 
-                let fate = faults.on_start(id, attempt, now, k.spec_time, k.spec_procs);
-                let (leaves_at, outcome) = match fate {
-                    Attempt::Complete => {
-                        let finish = now + k.spec_time;
-                        schedule.place(id, now, finish, k.spec_procs);
-                        if attempt > 0 {
-                            log.attempts.push(AttemptRecord {
-                                task: id,
-                                attempt,
-                                start: now,
-                                end: finish,
-                                procs: k.spec_procs,
-                                outcome: AttemptOutcome::Completed,
-                            });
-                        }
-                        (finish, RunningOutcome::Completes)
-                    }
-                    Attempt::Inflated { actual } => {
-                        assert!(
-                            actual >= k.spec_time,
-                            "fault model shrank task {id}: {actual} < nominal {}",
-                            k.spec_time
-                        );
-                        let finish = now + actual;
-                        schedule.place(id, now, finish, k.spec_procs);
-                        log.inflated_area +=
-                            (actual - k.spec_time).mul_int(k.spec_procs as i64);
+            let fate = faults.on_start(id, attempt, now, k.spec_time, k.spec_procs);
+            let (leaves_at, outcome) = match fate {
+                Attempt::Complete => {
+                    let finish = now + k.spec_time;
+                    schedule.place(id, now, finish, k.spec_procs);
+                    if attempt > 0 {
                         log.attempts.push(AttemptRecord {
                             task: id,
                             attempt,
                             start: now,
                             end: finish,
                             procs: k.spec_procs,
-                            outcome: AttemptOutcome::Inflated {
-                                nominal: k.spec_time,
-                                actual,
-                            },
+                            outcome: AttemptOutcome::Completed,
                         });
-                        (finish, RunningOutcome::Completes)
                     }
-                    Attempt::Fail { after } => {
-                        assert!(
-                            after.is_positive() && after <= k.spec_time,
-                            "fault model failed task {id} outside (0, t]: {after}"
-                        );
-                        let dies_at = now + after;
-                        log.failures += 1;
-                        log.wasted_area += after.mul_int(k.spec_procs as i64);
-                        log.attempts.push(AttemptRecord {
-                            task: id,
-                            attempt,
-                            start: now,
-                            end: dies_at,
-                            procs: k.spec_procs,
-                            outcome: AttemptOutcome::Failed {
-                                nominal: k.spec_time,
-                                ran: after,
-                            },
-                        });
-                        (dies_at, RunningOutcome::Fails)
-                    }
-                };
-                running.insert(
-                    (leaves_at, start_seq),
-                    Running { id, procs: k.spec_procs, outcome },
-                );
-                start_seq += 1;
-            }
+                    (finish, RunningOutcome::Completes)
+                }
+                Attempt::Inflated { actual } => {
+                    assert!(
+                        actual >= k.spec_time,
+                        "fault model shrank task {id}: {actual} < nominal {}",
+                        k.spec_time
+                    );
+                    let finish = now + actual;
+                    schedule.place(id, now, finish, k.spec_procs);
+                    log.inflated_area +=
+                        (actual - k.spec_time).mul_int(k.spec_procs as i64);
+                    log.attempts.push(AttemptRecord {
+                        task: id,
+                        attempt,
+                        start: now,
+                        end: finish,
+                        procs: k.spec_procs,
+                        outcome: AttemptOutcome::Inflated {
+                            nominal: k.spec_time,
+                            actual,
+                        },
+                    });
+                    (finish, RunningOutcome::Completes)
+                }
+                Attempt::Fail { after } => {
+                    assert!(
+                        after.is_positive() && after <= k.spec_time,
+                        "fault model failed task {id} outside (0, t]: {after}"
+                    );
+                    let dies_at = now + after;
+                    log.failures += 1;
+                    log.wasted_area += after.mul_int(k.spec_procs as i64);
+                    log.attempts.push(AttemptRecord {
+                        task: id,
+                        attempt,
+                        start: now,
+                        end: dies_at,
+                        procs: k.spec_procs,
+                        outcome: AttemptOutcome::Failed {
+                            nominal: k.spec_time,
+                            ran: after,
+                        },
+                    });
+                    (dies_at, RunningOutcome::Fails)
+                }
+            };
+            running.insert(
+                (leaves_at, start_seq),
+                Running { id, procs: k.spec_procs, outcome },
+            );
+            start_seq += 1;
         }
 
         let next_event = running.keys().next().map(|&(t, _)| t);

@@ -1,12 +1,14 @@
 //! The online scheduler interface.
 //!
-//! The engine drives a scheduler through three callbacks. At every decision
-//! point (time zero, and after each batch of simultaneous completions and
-//! releases) it calls [`OnlineScheduler::decide`], which returns the tasks
-//! to start *right now*. Returning an empty list is a legal and meaningful
-//! move: it is the deliberate idling that the paper shows to be necessary
-//! (no ASAP heuristic can be better than `Ω(P)`-competitive, Figure 1),
-//! and it is how CatBatch holds back tasks of future categories.
+//! The engine drives a scheduler through three callbacks. At every
+//! decision instant (time zero, and after each batch of simultaneous
+//! completions, failures, releases or capacity changes) it calls
+//! [`OnlineScheduler::decide_into`] **once**, and the scheduler appends
+//! every task to start *right now*. Appending nothing is a legal and
+//! meaningful move: it is the deliberate idling that the paper shows to
+//! be necessary (no ASAP heuristic can be better than `Ω(P)`-competitive,
+//! Figure 1), and it is how CatBatch holds back tasks of future
+//! categories.
 
 use rigid_dag::{ReleasedTask, TaskId};
 use rigid_time::Time;
@@ -20,8 +22,15 @@ use rigid_time::Time;
 /// * `on_release(task)` precedes any other mention of `task`;
 /// * `on_complete(task)` fires exactly once, after the task ran to
 ///   completion;
-/// * `decide` may only start released, unstarted tasks whose combined
-///   demand fits in the currently free processors (violations panic).
+/// * `decide_into` is called exactly once per decision instant: at time
+///   zero, and at each instant the clock advances to (a completion or
+///   failure, a timed release, or a capacity change).
+///
+/// `decide_into` may only start released, unstarted tasks, each at most
+/// once, whose combined demand fits in the currently free processors.
+/// The engine reports a breach as a typed
+/// [`SchedulerViolation`](crate::SchedulerViolation) inside
+/// [`RunError`](crate::RunError).
 pub trait OnlineScheduler {
     /// Human-readable name for reports.
     fn name(&self) -> &'static str;
@@ -33,27 +42,31 @@ pub trait OnlineScheduler {
     /// A task just completed.
     fn on_complete(&mut self, task: TaskId, now: Time);
 
-    /// Asked at every decision point: which tasks should start now?
-    /// `free_procs` processors are currently idle. The returned tasks are
-    /// started simultaneously at `now`; their total demand must not exceed
-    /// `free_procs`.
-    fn decide(&mut self, now: Time, free_procs: u32) -> Vec<TaskId>;
+    /// Asked once per decision instant: which tasks should start now?
+    /// `free_procs` processors are currently idle. **Appends** every task
+    /// to start at `now` to `out`; their total demand must not exceed
+    /// `free_procs`. The engine does not ask again at the same instant,
+    /// so a task held back here waits for the next completion, failure,
+    /// release or capacity change. Appending nothing idles deliberately.
+    ///
+    /// The engine reuses one buffer across the whole run, so an
+    /// implementation that appends in place allocates nothing per
+    /// decision.
+    fn decide_into(&mut self, now: Time, free_procs: u32, out: &mut Vec<TaskId>);
 
-    /// Buffer-reusing form of [`decide`](Self::decide): **appends** the
-    /// chosen tasks to `out` instead of returning a fresh `Vec`. The
-    /// engine calls this form with one buffer reused across the whole
-    /// run, so a scheduler that overrides it allocates nothing per
-    /// decision point. The default delegates to `decide`; overriders
-    /// must preserve its contract exactly (the engine treats appending
-    /// nothing as the deliberate-idling move).
-    fn decide_into(&mut self, now: Time, free_procs: u32, out: &mut Vec<TaskId>) {
-        out.extend(self.decide(now, free_procs));
+    /// [`decide_into`](Self::decide_into) into a fresh `Vec`: a
+    /// convenience for callers outside the engine. Implement
+    /// `decide_into`, not this.
+    fn decide(&mut self, now: Time, free_procs: u32) -> Vec<TaskId> {
+        let mut out = Vec::new();
+        self.decide_into(now, free_procs, &mut out);
+        out
     }
 
     /// A running attempt of `task` just failed (fail-stop under an active
     /// fault model); all its work is lost and it must be re-executed in
     /// full. Return [`FailureResponse::Retry`] to take the task back as
-    /// ready (it may be started again from a later `decide`), or
+    /// ready (it may be started again from a later decision), or
     /// [`FailureResponse::Abandon`] to give up, which aborts the run with
     /// [`RunError::TaskAbandoned`](crate::RunError::TaskAbandoned).
     ///
@@ -84,32 +97,10 @@ impl<T: OnlineScheduler + ?Sized> OnlineScheduler for Box<T> {
     fn on_complete(&mut self, task: TaskId, now: Time) {
         (**self).on_complete(task, now)
     }
-    fn decide(&mut self, now: Time, free_procs: u32) -> Vec<TaskId> {
-        (**self).decide(now, free_procs)
-    }
     fn decide_into(&mut self, now: Time, free_procs: u32, out: &mut Vec<TaskId>) {
         (**self).decide_into(now, free_procs, out)
     }
     fn on_failure(&mut self, task: TaskId, now: Time) -> FailureResponse {
         (**self).on_failure(task, now)
-    }
-}
-
-/// A scheduler together with run bookkeeping; used by generic harnesses.
-pub trait SchedulerFactory {
-    /// The scheduler type produced.
-    type Scheduler: OnlineScheduler;
-    /// Creates a fresh scheduler for a platform of `procs` processors.
-    fn create(&self, procs: u32) -> Self::Scheduler;
-}
-
-impl<F, S> SchedulerFactory for F
-where
-    F: Fn(u32) -> S,
-    S: OnlineScheduler,
-{
-    type Scheduler = S;
-    fn create(&self, procs: u32) -> S {
-        self(procs)
     }
 }

@@ -218,8 +218,7 @@ mod tests {
                 self.0.push((t.id, t.spec.procs));
             }
             fn on_complete(&mut self, _: rigid_dag::TaskId, _: Time) {}
-            fn decide(&mut self, _: Time, mut free: u32) -> Vec<rigid_dag::TaskId> {
-                let mut out = Vec::new();
+            fn decide_into(&mut self, _: Time, mut free: u32, out: &mut Vec<rigid_dag::TaskId>) {
                 self.0.retain(|&(id, p)| {
                     if p <= free {
                         free -= p;
@@ -229,7 +228,6 @@ mod tests {
                         true
                     }
                 });
-                out
             }
         }
         let r = crate::engine::EngineConfig::new().run(&mut src, &mut G(Vec::new()));

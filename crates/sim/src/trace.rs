@@ -216,8 +216,7 @@ mod tests {
                 self.0.push((t.id, t.spec.procs));
             }
             fn on_complete(&mut self, _: TaskId, _: Time) {}
-            fn decide(&mut self, _: Time, mut free: u32) -> Vec<TaskId> {
-                let mut out = Vec::new();
+            fn decide_into(&mut self, _: Time, mut free: u32, out: &mut Vec<TaskId>) {
                 self.0.retain(|&(id, p)| {
                     if p <= free {
                         free -= p;
@@ -227,7 +226,6 @@ mod tests {
                         true
                     }
                 });
-                out
             }
         }
         G(Vec::new())

@@ -10,16 +10,13 @@
 //! sensitive to event *ordering*, not just event *sets*, because a
 //! permuted completion order would reorder releases and flip its picks.
 
-// The deprecated free-function entry points are kept precisely for this
-// harness: they pin the legacy call signatures against the reference
-// engine while the rest of the workspace moves to `EngineConfig`.
-#![allow(deprecated)]
-
 use proptest::prelude::*;
 use rigid_dag::gen::{self, LengthDist, ProcDist, TaskSampler};
 use rigid_dag::{Instance, ReleasedTask, StaticSource, TaskId};
 use rigid_sim::fault::{Attempt, FaultModel};
-use rigid_sim::{engine, reference, FailureResponse, OnlineScheduler, RunBudget, RunError, RunResult};
+use rigid_sim::{
+    reference, EngineConfig, FailureResponse, OnlineScheduler, RunBudget, RunError, RunResult,
+};
 use rigid_time::Time;
 
 /// FIFO greedy: start anything that fits, in release order; retries
@@ -44,8 +41,7 @@ impl OnlineScheduler for Fifo {
         self.widths.push((t.id, t.spec.procs));
     }
     fn on_complete(&mut self, _t: TaskId, _now: Time) {}
-    fn decide(&mut self, _now: Time, mut free: u32) -> Vec<TaskId> {
-        let mut out = Vec::new();
+    fn decide_into(&mut self, _now: Time, mut free: u32, out: &mut Vec<TaskId>) {
         self.queue.retain(|&(id, p)| {
             if p <= free {
                 free -= p;
@@ -55,7 +51,6 @@ impl OnlineScheduler for Fifo {
                 true
             }
         });
-        out
     }
     fn on_failure(&mut self, t: TaskId, _now: Time) -> FailureResponse {
         let w = self
@@ -99,8 +94,7 @@ impl OnlineScheduler for LongestFirst {
         self.insert(task.spec.time, task.id, task.spec.procs);
     }
     fn on_complete(&mut self, _t: TaskId, _now: Time) {}
-    fn decide(&mut self, _now: Time, mut free: u32) -> Vec<TaskId> {
-        let mut out = Vec::new();
+    fn decide_into(&mut self, _now: Time, mut free: u32, out: &mut Vec<TaskId>) {
         self.ready.retain(|&(_, id, p)| {
             if p <= free {
                 free -= p;
@@ -110,7 +104,6 @@ impl OnlineScheduler for LongestFirst {
                 true
             }
         });
-        out
     }
     fn on_failure(&mut self, _t: TaskId, _now: Time) -> FailureResponse {
         // Longest-first abandons on failure; the differential check then
@@ -192,24 +185,20 @@ fn check_instance(inst: &Instance, fault_seed: u64, fail_mod: u64, inflate_mod: 
         let mut new_faults = HashFaults { seed: fault_seed, fail_mod, inflate_mod };
         let mut old_faults = HashFaults { seed: fault_seed, fail_mod, inflate_mod };
         let mut budget_faults = HashFaults { seed: fault_seed, fail_mod, inflate_mod };
-        let new = engine::try_run_faulty(
-            &mut StaticSource::new(inst.clone()),
-            new_sched.as_mut(),
-            &mut new_faults,
-        );
+        let new = EngineConfig::new()
+            .faults(&mut new_faults)
+            .try_run(&mut StaticSource::new(inst.clone()), new_sched.as_mut());
         let old = reference::try_run_faulty(
             &mut StaticSource::new(inst.clone()),
             old_sched.as_mut(),
             &mut old_faults,
         );
-        // Below an ample budget the budgeted entry point must agree with
-        // the frozen reference engine bit for bit as well.
-        let budgeted = engine::try_run_budgeted(
-            &mut StaticSource::new(inst.clone()),
-            budget_sched.as_mut(),
-            &mut budget_faults,
-            RunBudget::max_events(u64::MAX),
-        );
+        // Below an ample budget a budgeted run must agree with the frozen
+        // reference engine bit for bit as well.
+        let budgeted = EngineConfig::new()
+            .faults(&mut budget_faults)
+            .budget(RunBudget::max_events(u64::MAX))
+            .try_run(&mut StaticSource::new(inst.clone()), budget_sched.as_mut());
         match (new, old, budgeted) {
             (Ok(new), Ok(old), Ok(budgeted)) => {
                 assert_identical(&new, &old);
@@ -326,13 +315,15 @@ fn tight_budget_trips_where_reference_completes() {
     )
     .expect("reference run completes");
     let total_events = inst.graph().len() as u64 * 2; // releases + completions
-    let err = engine::try_run_budgeted(
-        &mut StaticSource::new(inst.clone()),
-        &mut Fifo::new(),
-        &mut HashFaults { seed: 0, fail_mod: 0, inflate_mod: 0 },
-        RunBudget::max_events(total_events / 2),
-    )
-    .expect_err("halved event budget must trip");
+    let err = EngineConfig::new()
+        .faults(&mut HashFaults {
+            seed: 0,
+            fail_mod: 0,
+            inflate_mod: 0,
+        })
+        .budget(RunBudget::max_events(total_events / 2))
+        .try_run(&mut StaticSource::new(inst.clone()), &mut Fifo::new())
+        .expect_err("halved event budget must trip");
     match err {
         RunError::BudgetExceeded { events, .. } => {
             assert!(events <= total_events);
@@ -342,12 +333,14 @@ fn tight_budget_trips_where_reference_completes() {
     }
     // And at exactly the full event count the budgeted run matches the
     // reference bit for bit.
-    let at_limit = engine::try_run_budgeted(
-        &mut StaticSource::new(inst),
-        &mut Fifo::new(),
-        &mut HashFaults { seed: 0, fail_mod: 0, inflate_mod: 0 },
-        RunBudget::max_events(total_events),
-    )
-    .expect("budget equal to the event count must not trip");
+    let at_limit = EngineConfig::new()
+        .faults(&mut HashFaults {
+            seed: 0,
+            fail_mod: 0,
+            inflate_mod: 0,
+        })
+        .budget(RunBudget::max_events(total_events))
+        .try_run(&mut StaticSource::new(inst), &mut Fifo::new())
+        .expect("budget equal to the event count must not trip");
     assert_identical(&at_limit, &reference);
 }

@@ -106,7 +106,7 @@ impl OnlineScheduler for CatBatchStrip {
         }
     }
 
-    fn decide(&mut self, now: Time, free: u32) -> Vec<TaskId> {
+    fn decide_into(&mut self, now: Time, free: u32, out: &mut Vec<TaskId>) {
         if self.current.is_none() {
             match self.batches.pop_first() {
                 Some((_cat, rects)) => {
@@ -116,7 +116,7 @@ impl OnlineScheduler for CatBatchStrip {
                         running: 0,
                     });
                 }
-                None => return Vec::new(),
+                None => return,
             }
         }
         let cur = self.current.as_mut().expect("just ensured");
@@ -124,15 +124,14 @@ impl OnlineScheduler for CatBatchStrip {
         // the machine idle, `free < P` can still happen under an engine
         // capacity dip — wait for recovery instead of asserting.
         if cur.running > 0 || cur.next_shelf >= cur.shelves.len() {
-            return Vec::new();
+            return;
         }
         if free < self.procs {
-            return Vec::new();
+            return;
         }
         let shelf = &cur.shelves[cur.next_shelf];
         cur.next_shelf += 1;
         cur.running = shelf.tasks.len();
-        let mut out = Vec::with_capacity(shelf.tasks.len());
         for &(id, x, w) in &shelf.tasks {
             self.packing.place(PlacedRect {
                 id,
@@ -143,7 +142,6 @@ impl OnlineScheduler for CatBatchStrip {
             });
             out.push(id);
         }
-        out
     }
 }
 

@@ -142,8 +142,8 @@ impl OnlineScheduler for Grenade {
     fn on_complete(&mut self, task: TaskId, now: Time) {
         self.inner.on_complete(task, now);
     }
-    fn decide(&mut self, now: Time, free_procs: u32) -> Vec<TaskId> {
-        self.inner.decide(now, free_procs)
+    fn decide_into(&mut self, now: Time, free_procs: u32, out: &mut Vec<TaskId>) {
+        self.inner.decide_into(now, free_procs, out)
     }
     fn on_failure(&mut self, task: TaskId, now: Time) -> FailureResponse {
         self.failures += 1;

@@ -42,8 +42,8 @@ impl OnlineScheduler for MonitoredCatBatch {
     fn on_complete(&mut self, task: TaskId, now: Time) {
         self.inner.on_complete(task, now);
     }
-    fn decide(&mut self, now: Time, free: u32) -> Vec<TaskId> {
-        self.inner.decide(now, free)
+    fn decide_into(&mut self, now: Time, free: u32, out: &mut Vec<TaskId>) {
+        self.inner.decide_into(now, free, out)
     }
 }
 

@@ -1,12 +1,12 @@
 //! Every scheduler × every workload family: feasibility, bounds
 //! ordering, and metric sanity.
 
-use catbatch::CatBatch;
+use catbatch::{CatBatch, CatBatchBackfill, CatPrio, EstimatedCatBatch};
 use rigid_baselines::{asap, ListScheduler, OfflineBatch, Optimal, Priority, ShelfScheduler};
 use rigid_dag::gen::{family, independent, TaskSampler};
 use rigid_dag::{analysis, StaticSource};
 use rigid_sim::offline::run_offline;
-use rigid_sim::{engine, metrics};
+use rigid_sim::{engine, metrics, OnlineScheduler};
 use rigid_strip::CatBatchStrip;
 
 /// All online schedulers complete all families feasibly.
@@ -35,6 +35,36 @@ fn online_schedulers_feasible_everywhere() {
             run_offline(&mut OfflineBatch::greedy(), &inst);
             run_offline(&mut OfflineBatch::nfdh(), &inst);
             let _ = name;
+        }
+    }
+}
+
+/// The engine asks a scheduler once per decision instant. A static,
+/// fault-free run has one instant at time zero and one per completion
+/// cohort, so every online scheduler is consulted exactly `batches + 1`
+/// times, whatever it starts at each instant.
+#[test]
+fn one_decision_per_instant() {
+    let sampler = TaskSampler::default_mix();
+    for seed in 0..3u64 {
+        for (name, inst) in family(seed, 60, &sampler, 8) {
+            let mut schedulers: Vec<Box<dyn OnlineScheduler>> = vec![
+                Box::new(CatBatch::new()),
+                Box::new(CatBatchStrip::new(inst.procs())),
+                Box::new(CatBatchBackfill::new()),
+                Box::new(CatPrio::new()),
+                Box::new(EstimatedCatBatch::new(20, seed)),
+            ];
+            for p in Priority::ALL {
+                schedulers.push(Box::new(ListScheduler::new(p)));
+            }
+            for mut sched in schedulers {
+                let r = engine::EngineConfig::new()
+                    .run(&mut StaticSource::new(inst.clone()), &mut sched);
+                let who = format!("{} on {name} (seed {seed})", sched.name());
+                assert_eq!(r.stats.decide_calls, r.stats.batches + 1, "{who}");
+                assert_eq!(r.decisions, r.stats.decide_calls, "{who}");
+            }
         }
     }
 }
