@@ -17,9 +17,10 @@ use rigid_baselines::Optimal;
 use rigid_dag::{Instance, StableHasher, StaticSource, TaskGraph, TaskId, TaskSpec};
 use rigid_faults::TrialStats;
 use rigid_sim::engine;
+use rigid_supervise::journal::{resume_or_create, CampaignJournal};
 use rigid_supervise::{
-    read_journal, JournalHeader, JournalWriter, ShardInfo, ShardSpec, Supervisor,
-    SupervisorPolicy, JOURNAL_SCHEMA,
+    JournalError, JournalHeader, ShardInfo, ShardSpec, Supervisor, SupervisorPolicy,
+    JOURNAL_SCHEMA,
 };
 use rigid_time::{Rational, Time};
 use std::collections::BTreeMap;
@@ -244,53 +245,35 @@ pub fn hunt_campaign(
     let shard_info: Option<ShardInfo> = shard.map(|spec| spec.info(&seeds));
 
     // Resume: replay journaled restarts, exactly like fault campaigns.
-    let mut replay: BTreeMap<u64, TrialStats> = BTreeMap::new();
-    let mut writer: Option<JournalWriter> = None;
-    if let Some(path) = journal {
-        if resume && path.exists() {
-            let contents = read_journal(path).map_err(|e| e.to_string())?;
-            if contents.header.fingerprint != fingerprint_hex {
-                return Err(format!(
-                    "journal {} was written for hunt scenario {} but this hunt is scenario \
-                     {fingerprint_hex} — same n/procs/steps required",
-                    path.display(),
-                    contents.header.fingerprint
-                ));
-            }
-            if contents.shard != shard_info {
-                let describe = |s: &Option<ShardInfo>| match s {
-                    Some(info) => info.to_string(),
-                    None => "unsharded".to_string(),
-                };
-                return Err(format!(
-                    "journal {} was written as {} but this hunt runs {} — each shard must \
-                     resume its own journal file",
-                    path.display(),
-                    describe(&contents.shard),
-                    describe(&shard_info)
-                ));
-            }
-            writer =
-                Some(JournalWriter::append_validated(path, &contents).map_err(|e| e.to_string())?);
-            for t in contents.trials {
-                replay.entry(t.seed).or_insert(t);
-            }
-        } else {
-            let header = JournalHeader {
-                schema: JOURNAL_SCHEMA.to_string(),
-                fingerprint: fingerprint_hex,
-                scheduler: "worst-case-hunt".to_string(),
-                fault_free_makespan: Time::ONE,
+    let (mut writer, mut replay) = match journal {
+        Some(path) => {
+            let header = || {
+                Ok(JournalHeader {
+                    schema: JOURNAL_SCHEMA.to_string(),
+                    fingerprint: fingerprint_hex.clone(),
+                    scheduler: "worst-case-hunt".to_string(),
+                    fault_free_makespan: Time::ONE,
+                })
             };
-            writer = Some(
-                match &shard_info {
-                    Some(info) => JournalWriter::create_shard(path, &header, info),
-                    None => JournalWriter::create(path, &header),
-                }
-                .map_err(|e| e.to_string())?,
-            );
+            let CampaignJournal { writer, replay, .. } =
+                resume_or_create(path, resume, &fingerprint_hex, shard_info.as_ref(), header)
+                    .map_err(|e| match e {
+                        JournalError::FingerprintMismatch { journal, .. } => format!(
+                            "journal {} was written for hunt scenario {journal} but this hunt \
+                             is scenario {fingerprint_hex} — same n/procs/steps required",
+                            path.display()
+                        ),
+                        JournalError::ShardMismatch { journal, campaign } => format!(
+                            "journal {} was written as {journal} but this hunt runs \
+                             {campaign} — each shard must resume its own journal file",
+                            path.display()
+                        ),
+                        other => other.to_string(),
+                    })?;
+            (Some(writer), replay)
         }
-    }
+        None => (None, BTreeMap::new()),
+    };
 
     let mut supervisor = Supervisor::new(SupervisorPolicy::default());
     let mut trials = Vec::with_capacity(seeds.len());

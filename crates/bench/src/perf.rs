@@ -44,7 +44,10 @@ use rigid_dag::gen::{self, LengthDist, ProcDist, TaskSampler};
 use rigid_dag::{analysis, paper, Instance, ReleasedTask, StaticSource, TaskId};
 use rigid_sim::{engine, reference, OnlineScheduler, RunResult};
 use rigid_time::Time;
+use rigid_supervise::journal::{self, Journal, JournalError, JournalWriter};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+use std::path::Path;
 use std::time::Instant;
 
 /// Verbatim pre-refactor ASAP FIFO ready-list code, frozen for the
@@ -626,40 +629,6 @@ pub fn run_serve_bench() -> Result<ServeBench, String> {
     })
 }
 
-/// Runs the matrix and assembles the report. The full tier
-/// (`quick = false`) also times [`REFERENCE_SCENARIO`] on the frozen
-/// pre-refactor engine and records the speedup.
-///
-/// `jobs >= 2` sweeps the scenarios on a worker pool; the report lists
-/// them in matrix order regardless. Per-scenario wall times measured
-/// under a concurrent sweep include cross-scenario contention — use
-/// `jobs = 1` when the absolute numbers matter, `jobs > 1` when sweep
-/// latency does (e.g. the CI smoke tier). The reference-engine
-/// comparison is always timed serially, after the sweep.
-pub fn run(quick: bool, jobs: usize) -> BenchReport {
-    let matrix = scenarios(quick);
-    let results: Vec<ScenarioResult> = rigid_exec::ordered_map(
-        (0..matrix.len()).collect(),
-        jobs,
-        |_, i| run_scenario(&matrix[i]),
-    );
-    let reference = if quick {
-        None
-    } else {
-        matrix
-            .iter()
-            .find(|sc| sc.name == REFERENCE_SCENARIO)
-            .map(run_reference_comparison)
-    };
-    BenchReport {
-        schema: SCHEMA.to_string(),
-        quick,
-        scenarios: results,
-        reference,
-        serve: run_serve_bench().ok(),
-    }
-}
-
 /// The header line of a bench scenario journal.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct BenchJournalHeader {
@@ -682,10 +651,7 @@ enum BenchRecord {
     },
 }
 
-/// A [`run`] that checkpoints every finished scenario to a JSONL journal
-/// and, with `resume`, replays journaled scenarios instead of re-timing
-/// them — a killed bench run picks up where it stopped, and re-running a
-/// finished journal times nothing.
+/// What [`run_journaled`] measured and replayed.
 #[derive(Clone, Debug)]
 pub struct JournaledRun {
     /// The assembled report (replayed + freshly timed scenarios, matrix
@@ -697,126 +663,87 @@ pub struct JournaledRun {
     pub replayed: usize,
 }
 
-/// Runs the matrix with a scenario journal at `path`. Tolerates a torn
-/// trailing line (crash artifact); rejects a journal written for a
-/// different tier or schema with a clear message.
+/// Runs the matrix and assembles the report. The full tier
+/// (`quick = false`) also times [`REFERENCE_SCENARIO`] on the frozen
+/// pre-refactor engine and records the speedup.
+///
+/// With a journal `path`, every finished scenario is checkpointed to a
+/// JSONL journal, and with `resume` journaled scenarios are replayed
+/// instead of re-timed — a killed bench run picks up where it stopped,
+/// and re-running a finished journal times nothing. A torn trailing
+/// line (crash artifact) is tolerated; a journal written for a
+/// different tier or schema is rejected with a clear message.
 ///
 /// `jobs >= 2` times the pending scenarios on a worker pool and then
 /// journals them in matrix order (a crash mid-sweep loses the whole
-/// in-flight batch, which resume simply re-times); `jobs <= 1` keeps
-/// the serial per-scenario checkpoint discipline.
+/// in-flight batch, which resume simply re-times); the report lists
+/// them in matrix order regardless. Per-scenario wall times measured
+/// under a concurrent sweep include cross-scenario contention — use
+/// `jobs = 1` when the absolute numbers matter, `jobs > 1` when sweep
+/// latency does (e.g. the CI smoke tier). `jobs <= 1` keeps the serial
+/// per-scenario checkpoint discipline. The reference-engine comparison
+/// is always timed serially, after the sweep.
 pub fn run_journaled(
     quick: bool,
-    path: &std::path::Path,
+    path: Option<&Path>,
     resume: bool,
     jobs: usize,
 ) -> Result<JournaledRun, String> {
-    use std::io::Write;
-
-    let io = |e: std::io::Error| format!("bench journal {}: {e}", path.display());
-    let mut done: std::collections::BTreeMap<String, ScenarioResult> =
-        std::collections::BTreeMap::new();
+    let mut done: BTreeMap<String, ScenarioResult> = BTreeMap::new();
     let mut journaled_reference: Option<RefComparison> = None;
-
-    let mut file = if resume && path.exists() {
-        let text = std::fs::read_to_string(path).map_err(io)?;
-        // The shared scan/truncate/append discipline of every journal
-        // reader in the workspace (see rigid_supervise::journal): only
-        // a *final* garbled line is a tolerated crash artifact, and it
-        // is truncated away before appending so a fresh record never
-        // merges into torn bytes.
-        let scan = rigid_supervise::journal::complete_lines(&text);
-        let Some(&(_, first, _)) = scan.lines.first() else {
-            return Err(format!(
-                "bench journal {} has no header line — not a {JOURNAL_SCHEMA} file",
-                path.display()
-            ));
-        };
-        let header: BenchJournalHeader = serde_json::from_str(first)
-            .map_err(|_| format!("bench journal {} has no header line", path.display()))?;
-        if header.schema != JOURNAL_SCHEMA {
-            return Err(format!(
-                "bench journal {} has schema {:?}, expected {JOURNAL_SCHEMA:?}",
-                path.display(),
-                header.schema
-            ));
-        }
-        if header.quick != quick {
-            return Err(format!(
-                "bench journal {} was written for the {} tier; rerun with the same tier or \
-                 a fresh journal",
-                path.display(),
-                if header.quick { "--quick" } else { "full" }
-            ));
-        }
-        let records = rigid_supervise::journal::scan_records(&scan, |line| {
-            serde_json::from_str::<BenchRecord>(line).map_err(|e| e.to_string())
-        })
-        .map_err(|(lineno, e)| {
-            format!("bench journal {} line {lineno} is corrupt: {e}", path.display())
-        })?;
-        for rec in records.records {
-            match rec {
-                BenchRecord::Scenario { result } => {
-                    done.entry(result.name.clone()).or_insert(result);
-                }
-                BenchRecord::Reference { comparison } => {
-                    journaled_reference = Some(comparison);
+    let mut writer = match path {
+        Some(path) if resume && path.exists() => {
+            let journal = read_journal(path, quick)?;
+            let writer = JournalWriter::append_validated(path, &journal)
+                .map_err(|e| format!("bench {e}"))?;
+            for rec in journal.records {
+                match rec {
+                    BenchRecord::Scenario { result } => {
+                        done.entry(result.name.clone()).or_insert(result);
+                    }
+                    BenchRecord::Reference { comparison } => {
+                        journaled_reference = Some(comparison);
+                    }
                 }
             }
+            Some(writer)
         }
-        rigid_supervise::journal::open_validated_append(path, records.torn_tail, records.valid_len)
-            .map_err(io)?
-    } else {
-        let mut f = std::fs::File::create(path).map_err(io)?;
-        let header = BenchJournalHeader { schema: JOURNAL_SCHEMA.to_string(), quick };
-        let line = serde_json::to_string(&header).map_err(|e| e.to_string())?;
-        f.write_all(format!("{line}\n").as_bytes()).map_err(io)?;
-        f.sync_data().map_err(io)?;
-        f
+        Some(path) => {
+            let header = BenchJournalHeader { schema: JOURNAL_SCHEMA.to_string(), quick };
+            Some(JournalWriter::create(path, &header).map_err(|e| format!("bench {e}"))?)
+        }
+        None => None,
     };
-
-    let record = |file: &mut std::fs::File, rec: &BenchRecord| -> Result<(), String> {
-        let line = serde_json::to_string(rec).map_err(|e| e.to_string())?;
-        file.write_all(format!("{line}\n").as_bytes()).map_err(io)?;
-        file.sync_data().map_err(io)
+    let mut record = |rec: BenchRecord| match writer.as_mut() {
+        // `JournalError::Io` reads "journal <path>: <OS message>".
+        Some(w) => w.record(&rec).map_err(|e| format!("bench {e}")),
+        None => Ok(()),
     };
 
     let matrix = scenarios(quick);
-    let mut results = Vec::with_capacity(matrix.len());
-    let mut executed = 0;
-    let mut replayed = 0;
-    if jobs <= 1 {
-        for sc in &matrix {
-            if let Some(r) = done.get(sc.name) {
-                results.push(r.clone());
-                replayed += 1;
-                continue;
-            }
-            let r = run_scenario(sc);
-            record(&mut file, &BenchRecord::Scenario { result: r.clone() })?;
-            executed += 1;
-            results.push(r);
-        }
-    } else {
+    // A pool times every pending scenario up front; serially each one is
+    // timed and checkpointed before the next starts.
+    let mut fresh: BTreeMap<usize, ScenarioResult> = BTreeMap::new();
+    if jobs > 1 {
         let pending: Vec<usize> = (0..matrix.len())
             .filter(|&i| !done.contains_key(matrix[i].name))
             .collect();
-        let fresh =
-            rigid_exec::ordered_map(pending.clone(), jobs, |_, i| run_scenario(&matrix[i]));
-        let mut fresh_by_index: std::collections::BTreeMap<usize, ScenarioResult> =
-            pending.into_iter().zip(fresh).collect();
-        for (i, sc) in matrix.iter().enumerate() {
-            if let Some(r) = done.get(sc.name) {
-                results.push(r.clone());
-                replayed += 1;
-                continue;
-            }
-            let r = fresh_by_index.remove(&i).expect("pending scenario was timed");
-            record(&mut file, &BenchRecord::Scenario { result: r.clone() })?;
-            executed += 1;
-            results.push(r);
+        let timed = rigid_exec::ordered_map(pending.clone(), jobs, |_, i| run_scenario(&matrix[i]));
+        fresh = pending.into_iter().zip(timed).collect();
+    }
+    let mut results = Vec::with_capacity(matrix.len());
+    let mut executed = 0;
+    let mut replayed = 0;
+    for (i, sc) in matrix.iter().enumerate() {
+        if let Some(r) = done.get(sc.name) {
+            results.push(r.clone());
+            replayed += 1;
+            continue;
         }
+        let r = fresh.remove(&i).unwrap_or_else(|| run_scenario(sc));
+        record(BenchRecord::Scenario { result: r.clone() })?;
+        executed += 1;
+        results.push(r);
     }
 
     let reference = if quick {
@@ -829,7 +756,7 @@ pub fn run_journaled(
             .find(|sc| sc.name == REFERENCE_SCENARIO)
             .map(run_reference_comparison);
         if let Some(rc) = &rc {
-            record(&mut file, &BenchRecord::Reference { comparison: rc.clone() })?;
+            record(BenchRecord::Reference { comparison: rc.clone() })?;
         }
         rc
     };
@@ -847,6 +774,45 @@ pub fn run_journaled(
         executed,
         replayed,
     })
+}
+
+/// Reads a bench journal back for resume: the header must be a
+/// [`JOURNAL_SCHEMA`] one for the same tier.
+fn read_journal(
+    path: &Path,
+    quick: bool,
+) -> Result<Journal<BenchJournalHeader, BenchRecord>, String> {
+    let p = path.display();
+    journal::read(
+        path,
+        |line| {
+            let header: BenchJournalHeader = serde_json::from_str(line)
+                .map_err(|_| format!("bench journal {p} has no header line"))?;
+            if header.schema != JOURNAL_SCHEMA {
+                return Err(format!(
+                    "bench journal {p} has schema {:?}, expected {JOURNAL_SCHEMA:?}",
+                    header.schema
+                ));
+            }
+            if header.quick != quick {
+                return Err(format!(
+                    "bench journal {p} was written for the {} tier; rerun with the same tier or \
+                     a fresh journal",
+                    if header.quick { "--quick" } else { "full" }
+                ));
+            }
+            Ok(header)
+        },
+        |e| match e {
+            JournalError::MissingHeader => {
+                format!("bench journal {p} has no header line — not a {JOURNAL_SCHEMA} file")
+            }
+            JournalError::Corrupt { line, message } => {
+                format!("bench journal {p} line {line} is corrupt: {message}")
+            }
+            other => format!("bench {other}"),
+        },
+    )
 }
 
 /// Renders the report as an aligned text table (the non-`--json` view).
@@ -961,6 +927,21 @@ pub fn check_regression(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The report of a run without a journal.
+    fn run(quick: bool, jobs: usize) -> BenchReport {
+        super::run_journaled(quick, None, false, jobs).expect("no journal to fail").report
+    }
+
+    /// [`super::run_journaled`] with a journal file.
+    fn run_journaled(
+        quick: bool,
+        path: &Path,
+        resume: bool,
+        jobs: usize,
+    ) -> Result<JournaledRun, String> {
+        super::run_journaled(quick, Some(path), resume, jobs)
+    }
 
     #[test]
     fn quick_tier_runs_and_reports() {

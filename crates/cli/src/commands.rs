@@ -555,26 +555,18 @@ fn bench_cmd(
     read_file: &dyn Fn(&str) -> Result<String, String>,
 ) -> Result<String, String> {
     let jobs = rigid_exec::resolve_jobs(jobs);
-    let (report, journal_counts) = match journal {
-        Some(path) => {
-            let run = rigid_bench::perf::run_journaled(
-                quick,
-                std::path::Path::new(path),
-                resume,
-                jobs,
-            )?;
-            (run.report, Some((run.executed, run.replayed)))
-        }
-        None => (rigid_bench::perf::run(quick, jobs), None),
-    };
+    let run =
+        rigid_bench::perf::run_journaled(quick, journal.map(std::path::Path::new), resume, jobs)?;
+    let report = run.report;
     let mut text = rigid_bench::perf::render_table(&report);
     if profile {
         text.push('\n');
         text.push_str(&rigid_bench::perf::render_profile(&report));
     }
-    if let Some((executed, replayed)) = journal_counts {
+    if journal.is_some() {
         text.push_str(&format!(
-            "\nscenarios executed : {executed}\nscenarios replayed : {replayed}\n"
+            "\nscenarios executed : {}\nscenarios replayed : {}\n",
+            run.executed, run.replayed
         ));
     }
     if json {

@@ -1,25 +1,50 @@
-//! The append-only campaign journal (`catbatch-journal/v1`).
+//! The one journal implementation of the workspace: append-only JSONL
+//! files that survive a crash and resume where they stopped.
 //!
-//! A journal is a JSONL file: one header line, then one record per
-//! finished trial, each flushed **and fsynced** before the campaign
-//! moves on — so after a crash the journal holds every trial that
-//! finished, plus at most one torn trailing line (tolerated and
-//! discarded on read). Records are [`TrialStats`] serialized verbatim;
-//! replaying a record *is* re-obtaining the trial's result, which is
-//! what makes resumed aggregates byte-identical.
+//! Four schemas share it: fault campaigns and E21 hunts
+//! (`catbatch-journal/v1`, and `catbatch-journal/v2` for shard files),
+//! the scheduling daemon (`catbatch-serve-journal/v1`) and the bench
+//! (`catbatch-bench-journal/v1`). Each user brings only its header
+//! type, its record type and its checks; this module creates, reads
+//! back, appends to, group-commits and fsyncs every one of them.
 //!
-//! The header pins the schema version and a stable fingerprint of
-//! `(instance, fault config, scheduler, budget)` — resuming against a
-//! journal written for a different scenario is a typed error, not a
-//! silently mixed data set.
+//! A journal is one header line, then one record per line. There are
+//! two durability windows:
+//!
+//! * [`JournalWriter::record`] fsyncs each record before returning —
+//!   serial campaigns, hunts and the bench. After a crash the journal
+//!   holds every record that was written.
+//! * [`GroupCommit`] writes each record to the file as it arrives and
+//!   fsyncs once per [`GROUP_COMMIT_RECORDS`] records or
+//!   [`GROUP_COMMIT_DEADLINE`], whichever comes first — parallel
+//!   campaigns and the daemon. A process kill loses nothing written; a
+//!   power loss costs at most the unsynced group, which resume
+//!   re-executes.
+//!
+//! [`read`] tolerates exactly the damage a kill can cause (a final line
+//! without its newline, or a final line that does not parse) and
+//! rejects everything else as a typed [`JournalError`]. Appends never
+//! leave damage behind: reopening a torn journal truncates the torn
+//! tail first, and a failed append truncates its partial bytes, so a
+//! fragment can never become a garbled line in the middle of the file.
+//!
+//! The campaign schema lives here too. Records are [`TrialStats`]
+//! serialized verbatim, so replaying a record *is* re-obtaining the
+//! trial's result, which is what makes resumed aggregates
+//! byte-identical. The header pins the schema version and a stable
+//! fingerprint of `(instance, fault config, scheduler, budget)`:
+//! resuming against a journal written for a different scenario is a
+//! typed error, not a silently mixed data set.
 
 use rigid_faults::TrialStats;
 use rigid_time::Time;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::Path;
+use std::io::{Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// The journal schema this crate writes and reads.
 pub const JOURNAL_SCHEMA: &str = "catbatch-journal/v1";
@@ -30,68 +55,12 @@ pub const JOURNAL_SCHEMA: &str = "catbatch-journal/v1";
 /// Plain (unsharded) journals keep the v1 schema byte-for-byte.
 pub const SHARD_SCHEMA: &str = "catbatch-journal/v2";
 
-/// The first line of every journal.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct JournalHeader {
-    /// [`JOURNAL_SCHEMA`] for plain journals, [`SHARD_SCHEMA`] for
-    /// shard journals.
-    pub schema: String,
-    /// Stable hex fingerprint of the campaign scenario (see
-    /// [`campaign_fingerprint`](crate::campaign_fingerprint)).
-    pub fingerprint: String,
-    /// Name of the scheduler under test.
-    pub scheduler: String,
-    /// Makespan of the fault-free baseline run, stored so a resumed
-    /// campaign does not recompute it.
-    pub fault_free_makespan: Time,
-}
+/// Group commit: fsync once this many records are pending…
+pub const GROUP_COMMIT_RECORDS: usize = 64;
 
-/// The shard coordinates a [`SHARD_SCHEMA`] header pins: which slice of
-/// the deduplicated seed space this file covers, out of how many.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardInfo {
-    /// 1-based shard index.
-    pub index: usize,
-    /// Total number of shards in the plan.
-    pub count: usize,
-    /// First seed assigned to this shard (`0` when the slice is empty).
-    pub seed_first: u64,
-    /// Last seed assigned to this shard (`0` when the slice is empty).
-    pub seed_last: u64,
-    /// How many seeds the shard covers.
-    pub seed_count: usize,
-    /// Stable hex fingerprint of the assigned seed sequence — pins the
-    /// exact slice without storing every seed in the header.
-    pub seeds_fp: String,
-}
-
-impl fmt::Display for ShardInfo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "shard {}/{} ({} seed(s), fp {})",
-            self.index, self.count, self.seed_count, self.seeds_fp
-        )
-    }
-}
-
-/// The on-disk shape of a [`SHARD_SCHEMA`] header line: every v1 field
-/// followed by the shard coordinates, as one flat object. Kept separate
-/// from [`JournalHeader`] so plain v1 headers serialize without any
-/// shard fields (the vendored serde stub cannot skip `None`s).
-#[derive(Serialize, Deserialize)]
-struct ShardHeaderLine {
-    schema: String,
-    fingerprint: String,
-    scheduler: String,
-    fault_free_makespan: Time,
-    shard_index: usize,
-    shard_count: usize,
-    seed_first: u64,
-    seed_last: u64,
-    seed_count: usize,
-    seeds_fp: String,
-}
+/// …or once the oldest pending record has waited this long, whichever
+/// comes first.
+pub const GROUP_COMMIT_DEADLINE: Duration = Duration::from_millis(25);
 
 /// Why a journal could not be written or read.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -165,40 +134,318 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-fn io_err(path: &Path, e: std::io::Error) -> JournalError {
+fn io_err(path: &Path, e: impl fmt::Display) -> JournalError {
     JournalError::Io { path: path.display().to_string(), message: e.to_string() }
 }
 
-/// Appends records to a journal, fsyncing each one.
+/// Appends records to a journal of any schema.
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
-    path: std::path::PathBuf,
+    path: PathBuf,
+    /// File length after the last complete record: where a torn tail or
+    /// a failed append is cut back to.
+    len: u64,
 }
 
 impl JournalWriter {
-    /// Creates (truncating) a fresh journal and writes its header.
-    pub fn create(path: &Path, header: &JournalHeader) -> Result<Self, JournalError> {
+    /// Creates (truncating) a fresh journal and writes and fsyncs its
+    /// header line.
+    pub fn create<H: Serialize>(path: &Path, header: &H) -> Result<Self, JournalError> {
         let file = File::create(path).map_err(|e| io_err(path, e))?;
-        let mut w = JournalWriter { file, path: path.to_path_buf() };
-        let json = serde_json::to_string(header).map_err(|e| JournalError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })?;
-        w.write_line(&json)?;
+        let mut w = JournalWriter { file, path: path.to_path_buf(), len: 0 };
+        w.record(header)?;
         Ok(w)
     }
 
-    /// Creates (truncating) a fresh **shard** journal: a
-    /// [`SHARD_SCHEMA`] header carrying the v1 fields plus the shard
-    /// coordinates. `header.schema` is ignored — shard files always get
-    /// [`SHARD_SCHEMA`].
-    pub fn create_shard(
+    /// Opens a journal that [`read`] (or [`read_journal`]) validated for
+    /// appending, first truncating the torn trailing damage the read
+    /// found — so the next record starts on its own line instead of
+    /// merging into the damaged bytes.
+    pub fn append_validated(
         path: &Path,
-        header: &JournalHeader,
-        shard: &ShardInfo,
+        read: impl Into<ValidPrefix>,
     ) -> Result<Self, JournalError> {
-        let line = ShardHeaderLine {
+        let ValidPrefix { torn_tail, valid_len } = read.into();
+        let file = OpenOptions::new().append(true).open(path).map_err(|e| io_err(path, e))?;
+        let len = if torn_tail {
+            valid_len
+        } else {
+            file.metadata().map_err(|e| io_err(path, e))?.len()
+        };
+        let mut w = JournalWriter { file, path: path.to_path_buf(), len };
+        if torn_tail {
+            w.truncate().map_err(|e| io_err(path, e))?;
+        }
+        Ok(w)
+    }
+
+    /// Appends one record and fsyncs it before returning — after this
+    /// call the record survives a crash.
+    pub fn record<R: Serialize>(&mut self, record: &R) -> Result<(), JournalError> {
+        self.record_buffered(record)?;
+        self.sync()
+    }
+
+    /// Appends one record **without** fsyncing: the group-commit half of
+    /// [`record`](Self::record). The bytes reach the kernel (surviving a
+    /// process kill) but not necessarily the disk; callers batch several
+    /// records and then [`sync`](Self::sync) once, turning N fsync
+    /// stalls into one. A power loss before the sync costs at most the
+    /// unsynced suffix, which resume re-executes — and a torn write
+    /// inside that suffix is exactly the trailing damage [`read`]
+    /// tolerates.
+    ///
+    /// A failed write (a full disk, say) truncates whatever part of the
+    /// line reached the file before the error is returned, so the
+    /// journal stays readable and later appends stay on their own
+    /// lines.
+    pub fn record_buffered<R: Serialize>(&mut self, record: &R) -> Result<(), JournalError> {
+        let mut line = serde_json::to_string(record).map_err(|e| io_err(&self.path, e))?;
+        line.push('\n');
+        if let Err(e) = self.file.write_all(line.as_bytes()) {
+            // Best effort: if even the truncate fails, the fragment is
+            // still the final line, which `read` tolerates.
+            let _ = self.truncate();
+            return Err(io_err(&self.path, e));
+        }
+        self.len += line.len() as u64;
+        Ok(())
+    }
+
+    /// Fsyncs everything appended so far (the commit of a group-commit
+    /// batch). Cheap when nothing is pending.
+    pub fn sync(&mut self) -> Result<(), JournalError> {
+        self.file.sync_data().map_err(|e| io_err(&self.path, e))
+    }
+
+    /// Cuts the file back to its last complete record and makes the cut
+    /// durable.
+    fn truncate(&mut self) -> std::io::Result<()> {
+        self.file.set_len(self.len)?;
+        // A created journal is not in append mode: move its cursor back
+        // too, or the next write would leave a hole.
+        self.file.seek(SeekFrom::Start(self.len))?;
+        self.file.sync_data()
+    }
+}
+
+/// Deadline-or-count group commit over a [`JournalWriter`]: each record
+/// is written as it arrives, and the records are fsynced together once
+/// [`GROUP_COMMIT_RECORDS`] are pending or the oldest has waited
+/// [`GROUP_COMMIT_DEADLINE`] — one disk stall per group instead of one
+/// per record. Owners call [`flush`](GroupCommit::flush) on interrupt
+/// and at the end, so a graceful stop loses nothing.
+#[derive(Debug)]
+pub struct GroupCommit<'a> {
+    writer: &'a mut JournalWriter,
+    pending: usize,
+    oldest: Option<Instant>,
+}
+
+impl<'a> GroupCommit<'a> {
+    /// Starts group-committing appends to `writer`.
+    pub fn new(writer: &'a mut JournalWriter) -> Self {
+        GroupCommit { writer, pending: 0, oldest: None }
+    }
+
+    /// Writes one record, committing the group if it is now full.
+    pub fn record<R: Serialize>(&mut self, record: &R) -> Result<(), JournalError> {
+        self.writer.record_buffered(record)?;
+        self.pending += 1;
+        self.oldest.get_or_insert_with(Instant::now);
+        if self.pending >= GROUP_COMMIT_RECORDS {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// When the oldest pending record is due for its fsync; `None` when
+    /// nothing is pending.
+    pub fn deadline(&self) -> Option<Instant> {
+        self.oldest.map(|t| t + GROUP_COMMIT_DEADLINE)
+    }
+
+    /// Commits the group if its deadline has passed.
+    pub fn flush_if_due(&mut self) -> Result<(), JournalError> {
+        if self.deadline().is_some_and(|due| Instant::now() >= due) {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Fsyncs every pending record.
+    pub fn flush(&mut self) -> Result<(), JournalError> {
+        if self.pending > 0 {
+            self.writer.sync()?;
+        }
+        self.pending = 0;
+        self.oldest = None;
+        Ok(())
+    }
+}
+
+/// A journal read back by [`read`]: its header, every intact record in
+/// file order, and where the intact part ends.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Journal<H, R> {
+    /// The header, as the caller's check accepted it.
+    pub header: H,
+    /// Every record that parsed, in file order.
+    pub records: Vec<R>,
+    /// Whether trailing crash damage (an unterminated fragment or a
+    /// garbled final line) was tolerated and excluded.
+    pub torn_tail: bool,
+    /// Length in bytes of the valid prefix (header + intact records).
+    /// Everything past this offset is crash damage to truncate before
+    /// appending.
+    pub valid_len: u64,
+}
+
+/// Where a journal's intact prefix ends: what
+/// [`JournalWriter::append_validated`] needs from a read.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ValidPrefix {
+    /// Whether crash damage follows the prefix.
+    pub torn_tail: bool,
+    /// Length of the prefix in bytes.
+    pub valid_len: u64,
+}
+
+impl<H, R> From<&Journal<H, R>> for ValidPrefix {
+    fn from(j: &Journal<H, R>) -> Self {
+        ValidPrefix { torn_tail: j.torn_tail, valid_len: j.valid_len }
+    }
+}
+
+impl From<&JournalContents> for ValidPrefix {
+    fn from(j: &JournalContents) -> Self {
+        ValidPrefix { torn_tail: j.torn_tail, valid_len: j.valid_len }
+    }
+}
+
+/// Reads a journal of any schema.
+///
+/// `header` receives the first non-blank line and accepts or rejects it
+/// before any record is parsed, so a file of the wrong schema fails on
+/// its header rather than on its first foreign record. Records must
+/// each parse as `R`: a record that does not is a tolerated crash
+/// artifact **iff** it is the final complete line (a torn write that
+/// happened to end in `'\n'`), and [`JournalError::Corrupt`] anywhere
+/// earlier. An unterminated trailing fragment is never parsed.
+/// `error` words this function's own failures ([`JournalError::Io`],
+/// [`JournalError::MissingHeader`], [`JournalError::Corrupt`]) in the
+/// caller's error type.
+pub fn read<H, R, E>(
+    path: &Path,
+    header: impl FnOnce(&str) -> Result<H, E>,
+    error: impl Fn(JournalError) -> E,
+) -> Result<Journal<H, R>, E>
+where
+    R: Deserialize,
+{
+    let text = std::fs::read_to_string(path).map_err(|e| error(io_err(path, e)))?;
+    // Complete (newline-terminated, non-blank) lines: 1-based line
+    // number, trimmed text, and the offset just past the newline.
+    let mut offset = 0;
+    let mut lines = text.split_inclusive('\n').enumerate().filter_map(|(i, l)| {
+        offset += l.len();
+        (l.ends_with('\n') && !l.trim().is_empty()).then_some((i + 1, l.trim(), offset))
+    });
+    let Some((_, header_line, header_end)) = lines.next() else {
+        return Err(error(JournalError::MissingHeader));
+    };
+    let header = header(header_line)?;
+    let mut journal = Journal {
+        header,
+        records: Vec::new(),
+        torn_tail: !text.ends_with('\n'),
+        valid_len: header_end as u64,
+    };
+    let mut lines = lines.peekable();
+    while let Some((lineno, line, end)) = lines.next() {
+        match serde_json::from_str::<R>(line) {
+            Ok(record) => {
+                journal.records.push(record);
+                journal.valid_len = end as u64;
+            }
+            Err(_) if lines.peek().is_none() => journal.torn_tail = true,
+            Err(e) => {
+                return Err(error(JournalError::Corrupt { line: lineno, message: e.to_string() }))
+            }
+        }
+    }
+    Ok(journal)
+}
+
+/// The first line of every campaign journal.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct JournalHeader {
+    /// [`JOURNAL_SCHEMA`] for plain journals, [`SHARD_SCHEMA`] for
+    /// shard journals.
+    pub schema: String,
+    /// Stable hex fingerprint of the campaign scenario (see
+    /// [`campaign_fingerprint`](crate::campaign_fingerprint)).
+    pub fingerprint: String,
+    /// Name of the scheduler under test.
+    pub scheduler: String,
+    /// Makespan of the fault-free baseline run, stored so a resumed
+    /// campaign does not recompute it.
+    pub fault_free_makespan: Time,
+}
+
+/// The shard coordinates a [`SHARD_SCHEMA`] header pins: which slice of
+/// the deduplicated seed space this file covers, out of how many.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ShardInfo {
+    /// 1-based shard index.
+    pub index: usize,
+    /// Total number of shards in the plan.
+    pub count: usize,
+    /// First seed assigned to this shard (`0` when the slice is empty).
+    pub seed_first: u64,
+    /// Last seed assigned to this shard (`0` when the slice is empty).
+    pub seed_last: u64,
+    /// How many seeds the shard covers.
+    pub seed_count: usize,
+    /// Stable hex fingerprint of the assigned seed sequence — pins the
+    /// exact slice without storing every seed in the header.
+    pub seeds_fp: String,
+}
+
+impl fmt::Display for ShardInfo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "shard {}/{} ({} seed(s), fp {})",
+            self.index, self.count, self.seed_count, self.seeds_fp
+        )
+    }
+}
+
+/// The on-disk shape of a [`SHARD_SCHEMA`] header line: every v1 field
+/// followed by the shard coordinates, as one flat object. Kept separate
+/// from [`JournalHeader`] so plain v1 headers serialize without any
+/// shard fields (the vendored serde stub cannot skip `None`s).
+#[derive(Serialize, Deserialize)]
+struct ShardHeaderLine {
+    schema: String,
+    fingerprint: String,
+    scheduler: String,
+    fault_free_makespan: Time,
+    shard_index: usize,
+    shard_count: usize,
+    seed_first: u64,
+    seed_last: u64,
+    seed_count: usize,
+    seeds_fp: String,
+}
+
+impl ShardHeaderLine {
+    /// The shard header for `header`'s scenario; `header.schema` is
+    /// ignored — shard files always get [`SHARD_SCHEMA`].
+    fn new(header: &JournalHeader, shard: &ShardInfo) -> Self {
+        ShardHeaderLine {
             schema: SHARD_SCHEMA.to_string(),
             fingerprint: header.fingerprint.clone(),
             scheduler: header.scheduler.clone(),
@@ -209,165 +456,12 @@ impl JournalWriter {
             seed_last: shard.seed_last,
             seed_count: shard.seed_count,
             seeds_fp: shard.seeds_fp.clone(),
-        };
-        let file = File::create(path).map_err(|e| io_err(path, e))?;
-        let mut w = JournalWriter { file, path: path.to_path_buf() };
-        let json = serde_json::to_string(&line).map_err(|e| JournalError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })?;
-        w.write_line(&json)?;
-        Ok(w)
-    }
-
-    /// Opens an existing journal for appending (resume). The caller is
-    /// expected to have validated it with [`read_journal`] first.
-    pub fn append(path: &Path) -> Result<Self, JournalError> {
-        let file = open_validated_append(path, false, 0).map_err(|e| io_err(path, e))?;
-        Ok(JournalWriter { file, path: path.to_path_buf() })
-    }
-
-    /// Opens a validated journal for appending, first truncating any
-    /// torn trailing damage `contents` identified — so a record appended
-    /// after a crash artifact starts on its own line instead of merging
-    /// into the artifact's bytes.
-    pub fn append_validated(path: &Path, contents: &JournalContents) -> Result<Self, JournalError> {
-        let file = open_validated_append(path, contents.torn_tail, contents.valid_len)
-            .map_err(|e| io_err(path, e))?;
-        Ok(JournalWriter { file, path: path.to_path_buf() })
-    }
-
-    /// Appends one trial record and fsyncs it to disk before returning
-    /// — after this call the record survives a crash.
-    pub fn record(&mut self, trial: &TrialStats) -> Result<(), JournalError> {
-        self.record_buffered(trial)?;
-        self.sync()
-    }
-
-    /// Appends one trial record **without** fsyncing — the group-commit
-    /// half of [`record`](Self::record). The bytes reach the kernel
-    /// (surviving a process kill) but not necessarily the disk; callers
-    /// batch several records and then [`sync`](Self::sync) once, turning
-    /// N fsync stalls into one. A power loss before the sync costs at
-    /// most the unsynced suffix, which resume re-executes — and a torn
-    /// write inside that suffix is exactly the trailing damage
-    /// [`read_journal`] already tolerates.
-    pub fn record_buffered(&mut self, trial: &TrialStats) -> Result<(), JournalError> {
-        let json = serde_json::to_string(trial).map_err(|e| JournalError::Io {
-            path: self.path.display().to_string(),
-            message: e.to_string(),
-        })?;
-        let path = self.path.clone();
-        self.file
-            .write_all(format!("{json}\n").as_bytes())
-            .map_err(|e| io_err(&path, e))
-    }
-
-    /// Fsyncs everything appended so far (the commit of a group-commit
-    /// batch). A no-op-cheap call when nothing is pending.
-    pub fn sync(&mut self) -> Result<(), JournalError> {
-        let path = self.path.clone();
-        self.file.sync_data().map_err(|e| io_err(&path, e))
-    }
-
-    fn write_line(&mut self, json: &str) -> Result<(), JournalError> {
-        let path = self.path.clone();
-        self.file
-            .write_all(format!("{json}\n").as_bytes())
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| io_err(&path, e))
-    }
-}
-
-/// The complete (newline-terminated, non-blank) lines of a JSONL file:
-/// 1-based line number, trimmed text, and the byte offset just past the
-/// terminating newline. Produced by [`complete_lines`], consumed by
-/// [`scan_records`] — the shared first half of every journal reader.
-#[derive(Clone, Debug)]
-pub struct CompleteLines<'a> {
-    /// `(line_number, trimmed_text, end_offset)` per complete line.
-    pub lines: Vec<(usize, &'a str, usize)>,
-    /// Whether the file ends in an unterminated fragment (a torn write
-    /// from a crash).
-    pub trailing_fragment: bool,
-}
-
-/// Splits journal text into its complete lines. Only newline-terminated
-/// lines count — a trailing fragment is flagged, never parsed.
-pub fn complete_lines(text: &str) -> CompleteLines<'_> {
-    let trailing_fragment = !text.is_empty() && !text.ends_with('\n');
-    let mut offset = 0usize;
-    let mut lines = Vec::new();
-    for (i, l) in text.split_inclusive('\n').enumerate() {
-        offset += l.len();
-        if l.ends_with('\n') && !l.trim().is_empty() {
-            lines.push((i + 1, l.trim(), offset));
         }
     }
-    CompleteLines { lines, trailing_fragment }
 }
 
-/// The records of a journal scan: everything after the header that
-/// parsed, plus the shared crash-damage verdict.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RecordScan<T> {
-    /// Every record that parsed, in file order.
-    pub records: Vec<T>,
-    /// Whether trailing crash damage (an unterminated fragment or a
-    /// garbled final line) was tolerated and excluded.
-    pub torn_tail: bool,
-    /// Length in bytes of the valid prefix (header + intact records).
-    /// Everything past this offset is crash damage to truncate before
-    /// appending.
-    pub valid_len: u64,
-}
-
-/// Parses the record lines after the header with the shared torn-tail
-/// tolerance rule every journal reader follows: a record that fails to
-/// parse is a tolerated crash artifact **iff** it is the final complete
-/// line (a torn write that happened to end in `'\n'`); any earlier
-/// parse failure is real damage, returned as `(line_number, message)`.
-pub fn scan_records<T>(
-    scan: &CompleteLines<'_>,
-    mut parse: impl FnMut(&str) -> Result<T, String>,
-) -> Result<RecordScan<T>, (usize, String)> {
-    let mut torn_tail = scan.trailing_fragment;
-    let header_end = scan.lines.first().map_or(0, |&(_, _, end)| end);
-    let mut records = Vec::new();
-    let mut valid_len = header_end as u64;
-    let lines = scan.lines.get(1..).unwrap_or_default();
-    for (pos, &(lineno, line, end)) in lines.iter().enumerate() {
-        match parse(line) {
-            Ok(t) => {
-                records.push(t);
-                valid_len = end as u64;
-            }
-            Err(_) if pos + 1 == lines.len() => torn_tail = true,
-            Err(message) => return Err((lineno, message)),
-        }
-    }
-    Ok(RecordScan { records, torn_tail, valid_len })
-}
-
-/// Opens a journal file for appending, first truncating torn trailing
-/// damage a scan identified — the shared repair step of every
-/// resume-append path, so a record appended after a crash artifact
-/// starts on its own line instead of merging into the artifact's bytes.
-pub fn open_validated_append(
-    path: &Path,
-    torn_tail: bool,
-    valid_len: u64,
-) -> std::io::Result<File> {
-    if torn_tail {
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_len)?;
-        file.sync_data()?;
-    }
-    OpenOptions::new().append(true).open(path)
-}
-
-/// A parsed journal: the header, every intact trial record in file
-/// order, and whether a torn trailing line was discarded.
+/// A parsed campaign journal: the header, every intact trial record in
+/// file order, and whether a torn trailing line was discarded.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JournalContents {
     /// The header line.
@@ -387,25 +481,32 @@ pub struct JournalContents {
     pub valid_len: u64,
 }
 
-/// Reads and validates a journal file (plain v1 or shard v2).
+/// Reads and validates a campaign journal (plain v1 or shard v2).
 ///
 /// Tolerates exactly the damage a kill can cause — a final line without
 /// its newline, or a final line that does not parse — and rejects
 /// everything else as typed [`JournalError`]s.
 pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
-    let text = std::fs::read_to_string(path).map_err(|e| io_err(path, e))?;
-    let scan = complete_lines(&text);
+    let journal = read(path, campaign_header, |e| e)?;
+    let (header, shard) = journal.header;
+    Ok(JournalContents {
+        header,
+        shard,
+        trials: journal.records,
+        torn_tail: journal.torn_tail,
+        valid_len: journal.valid_len,
+    })
+}
 
-    let Some(&(_, header_line, _)) = scan.lines.first() else {
-        return Err(JournalError::MissingHeader);
-    };
-    let header: JournalHeader = serde_json::from_str(header_line)
-        .map_err(|_| JournalError::MissingHeader)?;
+/// Parses a v1 or v2 campaign header line.
+fn campaign_header(line: &str) -> Result<(JournalHeader, Option<ShardInfo>), JournalError> {
+    let header: JournalHeader =
+        serde_json::from_str(line).map_err(|_| JournalError::MissingHeader)?;
     let shard = match header.schema.as_str() {
         s if s == JOURNAL_SCHEMA => None,
         s if s == SHARD_SCHEMA => {
             let line: ShardHeaderLine =
-                serde_json::from_str(header_line).map_err(|e| JournalError::Corrupt {
+                serde_json::from_str(line).map_err(|e| JournalError::Corrupt {
                     line: 1,
                     message: format!("shard header is incomplete: {e}"),
                 })?;
@@ -420,18 +521,77 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
         }
         _ => return Err(JournalError::SchemaMismatch { found: header.schema }),
     };
+    Ok((header, shard))
+}
 
-    let records = scan_records(&scan, |line| {
-        serde_json::from_str::<TrialStats>(line).map_err(|e| e.to_string())
-    })
-    .map_err(|(line, message)| JournalError::Corrupt { line, message })?;
-    Ok(JournalContents {
-        header,
-        shard,
-        trials: records.records,
-        torn_tail: records.torn_tail,
-        valid_len: records.valid_len,
-    })
+/// A campaign journal opened for appending by [`resume_or_create`].
+#[derive(Debug)]
+pub struct CampaignJournal {
+    /// Appends to the journal.
+    pub writer: JournalWriter,
+    /// The resumed journal's header, or the one `fresh` built.
+    pub header: JournalHeader,
+    /// The resumed journal's records by seed; the first record of a
+    /// seed wins. Empty for a fresh journal.
+    pub replay: BTreeMap<u64, TrialStats>,
+    /// Whether torn trailing damage was discarded and truncated.
+    pub torn_tail: bool,
+}
+
+/// Opens the campaign journal at `path` for appending.
+///
+/// With `resume` and an existing file, reads it back, checks that it
+/// was written for scenario `fingerprint` and for `shard`
+/// ([`JournalError::FingerprintMismatch`],
+/// [`JournalError::ShardMismatch`]), and appends after its intact
+/// records. Otherwise creates it with the header `fresh` builds, which
+/// is called only then: with `shard` the file gets a [`SHARD_SCHEMA`]
+/// header carrying the shard coordinates, whatever `fresh` put in
+/// `schema`.
+pub fn resume_or_create<E: From<JournalError>>(
+    path: &Path,
+    resume: bool,
+    fingerprint: &str,
+    shard: Option<&ShardInfo>,
+    fresh: impl FnOnce() -> Result<JournalHeader, E>,
+) -> Result<CampaignJournal, E> {
+    if resume && path.exists() {
+        let contents = read_journal(path)?;
+        if contents.header.fingerprint != fingerprint {
+            return Err(JournalError::FingerprintMismatch {
+                journal: contents.header.fingerprint,
+                campaign: fingerprint.to_string(),
+            }
+            .into());
+        }
+        if contents.shard.as_ref() != shard {
+            let describe = |s: Option<&ShardInfo>| {
+                s.map_or_else(|| "unsharded".to_string(), |i| i.to_string())
+            };
+            return Err(JournalError::ShardMismatch {
+                journal: describe(contents.shard.as_ref()),
+                campaign: describe(shard),
+            }
+            .into());
+        }
+        let writer = JournalWriter::append_validated(path, &contents)?;
+        let mut replay = BTreeMap::new();
+        for t in contents.trials {
+            replay.entry(t.seed).or_insert(t);
+        }
+        return Ok(CampaignJournal {
+            writer,
+            header: contents.header,
+            replay,
+            torn_tail: contents.torn_tail,
+        });
+    }
+    let header = fresh()?;
+    let writer = match shard {
+        Some(info) => JournalWriter::create(path, &ShardHeaderLine::new(&header, info)),
+        None => JournalWriter::create(path, &header),
+    }?;
+    Ok(CampaignJournal { writer, header, replay: BTreeMap::new(), torn_tail: false })
 }
 
 #[cfg(test)]
@@ -514,7 +674,8 @@ pub(crate) mod tests {
     #[test]
     fn shard_header_roundtrips() {
         let tmp = TempFile::new("shard");
-        let mut w = JournalWriter::create_shard(&tmp.0, &header(), &shard_info()).unwrap();
+        let shard_header = ShardHeaderLine::new(&header(), &shard_info());
+        let mut w = JournalWriter::create(&tmp.0, &shard_header).unwrap();
         w.record(&trial(10)).unwrap();
         let j = read_journal(&tmp.0).unwrap();
         assert_eq!(j.header.schema, SHARD_SCHEMA);
@@ -543,7 +704,8 @@ pub(crate) mod tests {
     #[test]
     fn shard_journal_tolerates_torn_tail_like_v1() {
         let tmp = TempFile::new("shard-torn");
-        let mut w = JournalWriter::create_shard(&tmp.0, &header(), &shard_info()).unwrap();
+        let shard_header = ShardHeaderLine::new(&header(), &shard_info());
+        let mut w = JournalWriter::create(&tmp.0, &shard_header).unwrap();
         w.record(&trial(10)).unwrap();
         drop(w);
         let mut text = std::fs::read_to_string(&tmp.0).unwrap();
@@ -561,7 +723,8 @@ pub(crate) mod tests {
         let mut w = JournalWriter::create(&tmp.0, &header()).unwrap();
         w.record(&trial(1)).unwrap();
         drop(w);
-        let mut w = JournalWriter::append(&tmp.0).unwrap();
+        let j = read_journal(&tmp.0).unwrap();
+        let mut w = JournalWriter::append_validated(&tmp.0, &j).unwrap();
         w.record(&trial(2)).unwrap();
         let j = read_journal(&tmp.0).unwrap();
         assert_eq!(j.trials.len(), 2);
@@ -630,6 +793,52 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn failed_append_is_cut_before_the_next_record() {
+        // A write that fails part-way (a full disk, say) leaves a
+        // fragment after the last complete record. The writer cuts it
+        // back before returning the error; without that, the next record
+        // would extend the fragment into a garbled line, and the record
+        // after it would make that line non-final: `Corrupt`.
+        for reopen in [false, true] {
+            let tmp = TempFile::new("failed-append");
+            let mut w = JournalWriter::create(&tmp.0, &header()).unwrap();
+            w.record(&trial(1)).unwrap();
+            if reopen {
+                drop(w);
+                let j = read_journal(&tmp.0).unwrap();
+                w = JournalWriter::append_validated(&tmp.0, &j).unwrap();
+            }
+            w.file.write_all(b"{\"seed\":2,\"outco").unwrap();
+            w.truncate().unwrap();
+            w.record(&trial(2)).unwrap();
+            w.record(&trial(3)).unwrap();
+            let j = read_journal(&tmp.0).unwrap();
+            assert_eq!(j.trials, vec![trial(1), trial(2), trial(3)], "reopen={reopen}");
+            assert!(!j.torn_tail, "reopen={reopen}");
+        }
+    }
+
+    #[test]
+    fn group_commit_writes_on_arrival_and_commits_full_groups() {
+        let tmp = TempFile::new("group-commit");
+        let mut w = JournalWriter::create(&tmp.0, &header()).unwrap();
+        let mut group = GroupCommit::new(&mut w);
+        assert_eq!(group.deadline(), None, "nothing pending, nothing due");
+        let full = GROUP_COMMIT_RECORDS as u64;
+        for seed in 0..full - 1 {
+            group.record(&trial(seed)).unwrap();
+        }
+        assert!(group.deadline().is_some(), "a partial group waits for its deadline");
+        assert_eq!(read_journal(&tmp.0).unwrap().trials.len() as u64, full - 1);
+        group.record(&trial(full - 1)).unwrap();
+        assert_eq!(group.deadline(), None, "a full group commits at once");
+        group.record(&trial(full)).unwrap();
+        group.flush().unwrap();
+        assert_eq!(group.deadline(), None);
+        assert_eq!(read_journal(&tmp.0).unwrap().trials, (0..=full).map(trial).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn torn_tail_without_newline_is_discarded() {
         let tmp = TempFile::new("torn");
         let mut w = JournalWriter::create(&tmp.0, &header()).unwrap();
@@ -666,9 +875,9 @@ pub(crate) mod tests {
         drop(w);
         let mut text = std::fs::read_to_string(&tmp.0).unwrap();
         text.push_str("not json at all\n");
+        text.push_str(&serde_json::to_string(&trial(3)).unwrap());
+        text.push('\n');
         std::fs::write(&tmp.0, text).unwrap();
-        let mut w = JournalWriter::append(&tmp.0).unwrap();
-        w.record(&trial(3)).unwrap();
         assert!(matches!(
             read_journal(&tmp.0),
             Err(JournalError::Corrupt { line: 3, .. })

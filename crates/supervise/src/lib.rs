@@ -10,9 +10,12 @@
 //!   quarantine of poison `(seed, scenario)` pairs. Every failure mode
 //!   becomes a typed [`TrialError`](rigid_faults::TrialError) instead
 //!   of process death.
-//! * [`journal`] — an append-only JSONL journal (`catbatch-journal/v1`,
-//!   plus the `/v2` shard header) with one fsynced record per finished
-//!   trial, tolerant of a torn trailing line after a crash.
+//! * [`journal`] — the workspace's one append-only JSONL journal
+//!   writer and reader, with per-record fsync or group commit, tolerant
+//!   of a torn trailing line after a crash. It carries all four
+//!   schemas: `catbatch-journal/v1` (campaigns and hunts), its `/v2`
+//!   shard header, `catbatch-serve-journal/v1` (the daemon) and
+//!   `catbatch-bench-journal/v1` (the bench).
 //! * [`run_campaign`] — the resumable campaign loop: replays journaled
 //!   trials byte-for-byte (the seed's record *is* the result), executes
 //!   only what is missing, and stops gracefully at interrupt points.
