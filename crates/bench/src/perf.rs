@@ -498,7 +498,7 @@ fn run_scenario(sc: &Scenario) -> ScenarioResult {
     // One full-recording run, untimed. It validates the schedule and
     // supplies the makespan fields; the timed repetitions below then
     // run stats-only, so they measure the simulation itself rather than
-    // result-map and revealed-graph construction.
+    // the recording of placements and release instants.
     let full = {
         let mut source = StaticSource::new(inst.clone());
         let mut sched = sc.sched.build(inst.procs());

@@ -7,10 +7,10 @@
 
 use crate::category::{category_of, Category};
 use crate::lmatrix::category_length;
-use rigid_dag::analysis::{criticalities, critical_path, Criticality};
+use rigid_dag::analysis::{criticalities, Criticality};
 use rigid_dag::{Instance, TaskId};
 use rigid_time::Time;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The full attribute row of one task (the table in the paper's Figure 3).
 #[derive(Clone, Debug)]
@@ -73,23 +73,29 @@ impl Decomposition {
 /// Decomposes an instance into category batches (what CatBatch will do
 /// online, computed offline).
 pub fn decompose(instance: &Instance) -> Decomposition {
-    let attrs = attribute_table(instance);
+    let g = instance.graph();
+    let crit = criticalities(g);
     let mut categories: BTreeMap<Category, Vec<TaskId>> = BTreeMap::new();
-    for a in &attrs {
-        categories.entry(a.category).or_default().push(a.id);
+    for id in g.task_ids() {
+        categories
+            .entry(category_of(&crit[id.index()]))
+            .or_default()
+            .push(id);
     }
-    Decomposition {
-        categories,
-        critical_path: critical_path(instance.graph()),
-    }
+    let critical_path = crit.iter().map(|c| c.finish).max().unwrap_or(Time::ZERO);
+    Decomposition { categories, critical_path }
 }
 
 /// The Lemma 7 makespan bound for CatBatch:
-/// `T ≤ 2·A(I)/P + Σ_ζ L_ζ` over non-empty categories.
+/// `T ≤ 2·A(I)/P + Σ_ζ L_ζ` over non-empty categories. It needs only
+/// the set of categories, not the tasks in each.
 pub fn lemma7_bound(instance: &Instance) -> Time {
-    let d = decompose(instance);
+    let crit = criticalities(instance.graph());
+    let critical_path = crit.iter().map(|c| c.finish).max().unwrap_or(Time::ZERO);
+    let categories: BTreeSet<Category> = crit.iter().map(category_of).collect();
     let area = rigid_dag::analysis::area(instance.graph());
-    area.mul_int(2).div_int(instance.procs() as i64) + d.total_category_length()
+    let lengths = categories.into_iter().map(|cat| category_length(cat, critical_path));
+    area.mul_int(2).div_int(instance.procs() as i64) + lengths.sum::<Time>()
 }
 
 /// Renders the attribute table as aligned text (Figure 3's table).

@@ -226,15 +226,16 @@ impl InstanceSource for TimedSource {
 /// Replays a fixed [`Instance`] online: a task is released as soon as its
 /// last predecessor completes.
 ///
-/// All per-task allocation happens up front: construction pre-builds one
-/// [`ReleasedTask`] per task (spec clone + predecessor list), and each
-/// release during the run just moves it out — the hot simulation loop
-/// allocates nothing inside this source.
+/// Each [`ReleasedTask`] is built from the instance when the task becomes
+/// ready (a spec clone and a copy of its predecessor list), and the
+/// engine drops it once it has ingested the release, so the source holds
+/// only the instance and a few words per task, never a second copy of
+/// every spec and predecessor list.
 pub struct StaticSource {
     instance: Instance,
+    /// Per task, the predecessors that have not completed yet, with the
+    /// [`RELEASED`] bit set once the task is released.
     missing_preds: Vec<u32>,
-    /// `prebuilt[i]` is `Some` until task `i` is released.
-    prebuilt: Vec<Option<ReleasedTask>>,
     /// Successor adjacency flattened into CSR form: the successors of
     /// task `i` are `succ_targets[succ_offsets[i]..succ_offsets[i+1]]`.
     /// The graph's own `Vec<Vec<_>>` lists cost a pointer chase per
@@ -245,21 +246,16 @@ pub struct StaticSource {
     released_count: usize,
 }
 
+/// High bit of a [`StaticSource`] `missing_preds` entry: the task has
+/// been released. Its count is 0 by then, so a further completion of a
+/// predecessor still reads as an under-count.
+const RELEASED: u32 = 1 << 31;
+
 impl StaticSource {
     /// Wraps an instance for online revelation.
     pub fn new(instance: Instance) -> Self {
         let g = instance.graph();
         let missing_preds = g.task_ids().map(|id| g.preds(id).len() as u32).collect();
-        let prebuilt = g
-            .task_ids()
-            .map(|id| {
-                Some(ReleasedTask {
-                    id,
-                    spec: g.spec(id).clone(),
-                    preds: g.preds(id).to_vec(),
-                })
-            })
-            .collect();
         let mut succ_offsets = Vec::with_capacity(g.len() + 1);
         let mut succ_targets = Vec::with_capacity(g.edge_count());
         succ_offsets.push(0);
@@ -270,7 +266,6 @@ impl StaticSource {
         StaticSource {
             instance,
             missing_preds,
-            prebuilt,
             succ_offsets,
             succ_targets,
             released_count: 0,
@@ -282,12 +277,22 @@ impl StaticSource {
         &self.instance
     }
 
+    /// Releases `id`, whose predecessors have all completed: marks it
+    /// released and builds its [`ReleasedTask`] from the instance.
+    ///
+    /// # Panics
+    /// Panics if `id` was already released.
     fn release(&mut self, id: TaskId) -> ReleasedTask {
-        let rel = self.prebuilt[id.index()]
-            .take()
-            .unwrap_or_else(|| panic!("double release of {id}"));
+        let m = &mut self.missing_preds[id.index()];
+        assert!(*m == 0, "double release of {id}");
+        *m = RELEASED;
         self.released_count += 1;
-        rel
+        let g = self.instance.graph();
+        ReleasedTask {
+            id,
+            spec: g.spec(id).clone(),
+            preds: g.preds(id).to_vec(),
+        }
     }
 }
 
@@ -297,8 +302,9 @@ impl InstanceSource for StaticSource {
     }
 
     fn initial_into(&mut self, out: &mut Vec<ReleasedTask>) {
-        let roots = self.instance.graph().sources();
-        out.extend(roots.into_iter().map(|id| self.release(id)));
+        for id in self.instance.graph().sources() {
+            out.push(self.release(id));
+        }
     }
 
     fn on_complete_into(
@@ -307,22 +313,14 @@ impl InstanceSource for StaticSource {
         _completion_index: u64,
         out: &mut Vec<ReleasedTask>,
     ) {
-        // Disjoint field borrows: the successor list is read from the
-        // CSR arrays while releases move out of `prebuilt`.
-        let StaticSource {
-            missing_preds, prebuilt, succ_offsets, succ_targets, released_count, ..
-        } = self;
-        let (lo, hi) = (succ_offsets[task.index()], succ_offsets[task.index() + 1]);
-        for &s in &succ_targets[lo as usize..hi as usize] {
-            let m = &mut missing_preds[s.index()];
-            assert!(*m > 0, "completion under-count for {s}");
+        let i = task.index();
+        for k in self.succ_offsets[i] as usize..self.succ_offsets[i + 1] as usize {
+            let s = self.succ_targets[k];
+            let m = &mut self.missing_preds[s.index()];
+            assert!(*m & !RELEASED > 0, "completion under-count for {s}");
             *m -= 1;
             if *m == 0 {
-                let rel = prebuilt[s.index()]
-                    .take()
-                    .unwrap_or_else(|| panic!("double release of {s}"));
-                *released_count += 1;
-                out.push(rel);
+                out.push(self.release(s));
             }
         }
     }
@@ -377,6 +375,16 @@ mod tests {
         assert_eq!(after_c[0].id, d);
         assert_eq!(after_c[0].preds, vec![b, c]);
         assert!(!src.expects_more());
+    }
+
+    #[test]
+    #[should_panic(expected = "double release")]
+    fn static_source_rejects_a_second_initial_release() {
+        let mut g = TaskGraph::new();
+        g.add_task(spec(1, 1));
+        let mut src = StaticSource::new(Instance::new(g, 1));
+        assert_eq!(src.initial().len(), 1);
+        let _ = src.initial();
     }
 
     #[test]

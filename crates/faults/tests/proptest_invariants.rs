@@ -82,17 +82,14 @@ proptest! {
                 // (2) + (3): every task's successful execution spans at
                 // least its nominal t (exactly t unless it straggled)
                 // and uses exactly its p.
-                for (run_id, graph_id) in &run.revealed_ids {
-                    let spec = run.revealed.spec(*graph_id);
-                    let p = run
-                        .schedule
-                        .placement(*run_id)
-                        .expect("every revealed task is placed");
+                prop_assert_eq!(run.release_times.len(), g.len());
+                for (id, spec) in g.tasks() {
+                    let p = run.schedule.placement(id).expect("every task is placed");
                     prop_assert!(p.finish - p.start >= spec.time);
                     prop_assert_eq!(p.procs, spec.procs);
-                    prop_assert!(p.start >= run.release_times[run_id]);
+                    let released = run.release_times[id.index()].expect("every task is released");
+                    prop_assert!(p.start >= released);
                 }
-                prop_assert_eq!(run.revealed.len(), g.len());
 
                 // Bookkeeping sanity: wasted area is positive iff
                 // something failed.

@@ -991,7 +991,7 @@ fn summarize(spec: &JobSpec, inst: &Instance, run: &RunResult) -> JobResult {
         events: run.stats.events,
         peak_ready: run.stats.peak_ready,
         gantt: if spec.gantt {
-            render(&run.schedule, &run.revealed, &GanttOptions::default())
+            render(&run.schedule, inst.graph(), &GanttOptions::default())
                 .lines()
                 .map(str::to_string)
                 .collect()

@@ -5,13 +5,16 @@
 //! the SIGTERM test lives elsewhere (`tests/sigterm.rs`) because a raw
 //! signal is process-global and must not race these tests' daemons.
 
+use catbatch::CatBatch;
 use rigid_dag::gen::{self, TaskSampler};
-use rigid_dag::format;
+use rigid_dag::{format, StaticSource};
 use rigid_serve::journal::JobRecord;
 use rigid_serve::protocol::{kind, Request, Response};
 use rigid_serve::{
-    aggregate, Bind, Client, Daemon, JobSpec, ServeJournal, ServeOptions,
+    aggregate, run_one, Bind, Client, Daemon, JobSpec, ServeJournal, ServeOptions,
 };
+use rigid_sim::gantt::{render, GanttOptions};
+use rigid_sim::EngineConfig;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -363,4 +366,24 @@ fn crafted_backlog_replays_deterministically_on_startup() {
         }
     }
     let _ = std::fs::remove_file(&journal_path);
+}
+
+/// A `gantt: true` job labels every bar with its own task: the chart is
+/// the one a direct CatBatch run of the same instance renders.
+#[test]
+fn gantt_labels_name_the_placed_tasks() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../assets/figure3.rigid");
+    let text = std::fs::read_to_string(path).expect("figure 3 asset");
+    let inst = format::parse(&text).expect("figure 3 parses");
+    let mut source = StaticSource::new(inst.clone());
+    let direct = EngineConfig::new().run(&mut source, &mut CatBatch::new());
+    let expected: Vec<String> = render(&direct.schedule, inst.graph(), &GanttOptions::default())
+        .lines()
+        .map(str::to_string)
+        .collect();
+    let job = JobSpec { gantt: true, ..spec(1, "catbatch", &text) };
+    match run_one(&job, &ServeOptions::default()) {
+        Response::Result(result) => assert_eq!(result.gantt, expected),
+        other => panic!("expected a result, got {other:?}"),
+    }
 }

@@ -57,10 +57,9 @@ use crate::error::{BudgetKind, RunError, SchedulerViolation, SourceViolation};
 use crate::fault::{Attempt, AttemptOutcome, AttemptRecord, FaultLog, FaultModel, NoFaults};
 use crate::schedule::Schedule;
 use crate::scheduler::{FailureResponse, OnlineScheduler};
-use rigid_dag::{InstanceSource, TaskGraph, TaskId};
+use rigid_dag::{InstanceSource, TaskId};
 use rigid_time::Time;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
 /// Counters the event-driven engine maintains while it runs, reported
@@ -191,13 +190,19 @@ impl ArmedBudget {
     }
 }
 
-/// The outcome of a run: the schedule, reconstruction of everything the
-/// source revealed, per-task release instants, and the fault log.
+/// The outcome of a run: the schedule, per-task release instants, and
+/// the fault log.
 ///
-/// Under [`EngineConfig::stats_only`] the artifact fields — `schedule`,
-/// `revealed`, `revealed_ids`, `release_times` — come back empty;
-/// `stats`, `decisions` and `faults` are produced exactly as in a full
-/// run.
+/// The result holds nothing the caller already has. In particular it
+/// does not rebuild the graph the source revealed: the schedule and the
+/// release times use the source's own task ids, so the graph to read
+/// them against is the instance a [`rigid_dag::StaticSource`] was built
+/// from (or its `instance()`), or the instance an adaptive adversary
+/// committed to.
+///
+/// Under [`EngineConfig::stats_only`] the artifact fields — `schedule`
+/// and `release_times` — come back empty; `stats`, `decisions` and
+/// `faults` are produced exactly as in a full run.
 #[derive(Clone, Debug)]
 pub struct RunResult {
     /// The recorded schedule (already capacity-checked by construction;
@@ -206,19 +211,12 @@ pub struct RunResult {
     /// durations, so strict validation reports `SpecMismatch` — that is
     /// the intended signal that the fixed-`t` assumption was violated.
     pub schedule: Schedule,
-    /// The graph of all released tasks, rebuilt from the release stream.
-    /// For a static source this equals the original instance graph up to
-    /// task-id renumbering (ids here follow release order); for an adaptive
-    /// source this is the instance the adversary committed to. Use
-    /// [`revealed_ids`](Self::revealed_ids) to map run ids to graph ids.
-    pub revealed: TaskGraph,
-    /// Maps the run's task ids (as used in `schedule`) to ids in
-    /// `revealed`.
-    pub revealed_ids: HashMap<TaskId, TaskId>,
     /// Platform size.
     pub procs: u32,
-    /// When each task was released (became ready).
-    pub release_times: BTreeMap<TaskId, Time>,
+    /// When each task was released (became ready), indexed by task id:
+    /// `release_times[i]` is `Some(at)` iff `TaskId(i)` was released, and
+    /// the vector ends at the last released task.
+    pub release_times: Vec<Option<Time>>,
     /// Number of decision points the scheduler was consulted at.
     pub decisions: u64,
     /// What the fault model did (empty and clean for fault-free runs).
@@ -258,14 +256,17 @@ const LISTED: u8 = 1 << 3;
 /// accesses keep hitting cache long after a 24-byte-per-task record
 /// array would have blown it. (Measured on the 10⁶-task chain scenario:
 /// the packed-record layout is ~20% slower end to end.) The
-/// result-artifact columns (`graph_id`, `release_time`) are read only by
-/// the end-of-run map assembly and never written in stats-only mode.
+/// release-instant column is the result's
+/// [`release_times`](RunResult::release_times): a full run moves it out
+/// when it ends, and a stats-only run never sizes or writes it.
 ///
 /// Campaign runners execute thousands of engine runs back to back; with
 /// fresh buffers every trial reallocates and regrows from zero. Passing
 /// the same `EngineScratch` via [`EngineConfig::scratch`] keeps the
 /// allocations warm across trials (each run clears the *contents* on
-/// entry but keeps the capacity).
+/// entry but keeps the capacity). The release-instant column is the one
+/// exception: it leaves with each full run's result and regrows in the
+/// next.
 ///
 /// The type is deliberately opaque — its fields are engine internals —
 /// and a scratch buffer carries **no state between runs**: a run that
@@ -283,9 +284,8 @@ pub struct EngineScratch {
     /// Per-task execution attempts started so far.
     attempts: Vec<u32>,
     spec_time: Vec<Time>,
-    /// Per-task ids in the rebuilt `revealed` graph.
-    graph_id: Vec<TaskId>,
-    release_time: Vec<Time>,
+    /// Per-task release instant (`None` = unreleased); full runs only.
+    release_time: Vec<Option<Time>>,
     events: CalendarQueue,
     /// Batch buffer for [`CalendarQueue::pop_cohort_into`]: all events
     /// sharing the current instant, drained together.
@@ -310,7 +310,6 @@ impl EngineScratch {
         self.seen.clear();
         self.attempts.clear();
         self.spec_time.clear();
-        self.graph_id.clear();
         self.release_time.clear();
         self.events.clear();
         self.cohort.clear();
@@ -378,16 +377,16 @@ impl<'a> EngineConfig<'a> {
         self
     }
 
-    /// Skips building the per-run result artifacts — the [`Schedule`],
-    /// the revealed [`TaskGraph`] and the id-keyed result maps come back
-    /// empty; [`EngineStats`], decision counts, the [`FaultLog`] and
-    /// every typed error are produced exactly as in a full run (the
-    /// simulation itself is identical — only the recording differs).
+    /// Skips recording the per-run result artifacts — the [`Schedule`]
+    /// and the release times come back empty; [`EngineStats`], decision
+    /// counts, the [`FaultLog`] and every typed error are produced
+    /// exactly as in a full run (the simulation itself is identical —
+    /// only the recording differs).
     ///
     /// Use this for throughput measurement and bulk campaigns that
-    /// consume only statistics: the hot loop then allocates nothing per
-    /// task, which at n = 10⁶⁺ is the difference between timing the
-    /// engine and timing result-map construction.
+    /// consume only statistics: the run then neither places tasks nor
+    /// keeps a release-instant column, so it holds only the engine's
+    /// working state.
     #[must_use]
     pub fn stats_only(mut self) -> Self {
         self.stats_only = true;
@@ -472,9 +471,14 @@ where
     let budget = ArmedBudget::arm(budget);
     let procs = source.procs();
     assert!(procs >= 1);
+    let hint = source.task_count_hint();
 
-    let mut schedule = Schedule::new(procs);
-    let mut revealed = TaskGraph::new();
+    // Reserve every slot the run will place at once: grown on demand,
+    // the slot vector doubles past n and briefly holds both copies.
+    let mut schedule = match hint {
+        Some(n) if !stats_only => Schedule::with_capacity(procs, n),
+        _ => Schedule::new(procs),
+    };
 
     scratch.reset();
     let EngineScratch {
@@ -483,7 +487,6 @@ where
         seen,
         attempts,
         spec_time: time_of,
-        graph_id: graph_of,
         release_time: released_at,
         events,
         cohort,
@@ -505,14 +508,15 @@ where
     // releases beyond the hint still work and are counted in
     // `stats.hint_misses`. At most `procs` attempts are ever in flight
     // (each holds ≥ 1 processor), which bounds the queue and cohort.
-    if let Some(hint) = source.task_count_hint() {
+    if let Some(hint) = hint {
         flags.resize(hint, 0);
         procs_of.resize(hint, 0);
         seen.resize(hint, 0);
         attempts.resize(hint, 0);
         time_of.resize(hint, Time::ZERO);
-        graph_of.resize(hint, TaskId(0));
-        released_at.resize(hint, Time::ZERO);
+        if !stats_only {
+            released_at.resize(hint, None);
+        }
     }
     events.reserve(procs as usize);
     cohort.reserve((procs as usize).saturating_sub(cohort.capacity()));
@@ -570,21 +574,7 @@ where
             for &p in &rel.preds {
                 flags[p.index()] &= !LISTED;
             }
-            // The scheduler cannot observe engine state, so notifying it
-            // before the graph rebuild is equivalent to the legacy order
-            // — and lets the spec move into the graph without a clone.
             scheduler.on_release(&rel, now);
-            let rigid_dag::ReleasedTask { id: _, spec, preds } = rel;
-            let (spec_procs, spec_time) = (spec.procs, spec.time);
-            let new_id = if stats_only {
-                TaskId(0)
-            } else {
-                let new_id = revealed.add_task(spec);
-                for &p in &preds {
-                    revealed.add_edge(graph_of[p.index()], new_id);
-                }
-                new_id
-            };
             if idx >= flags.len() {
                 // Beyond the pre-sized region (or no hint at all): grow
                 // on demand and record the miss.
@@ -595,20 +585,17 @@ where
                 seen.resize(n, 0);
                 attempts.resize(n, 0);
                 time_of.resize(n, Time::ZERO);
-                graph_of.resize(n, TaskId(0));
-                released_at.resize(n, Time::ZERO);
+                if !stats_only {
+                    released_at.resize(n, None);
+                }
             }
             flags[idx] = RELEASED;
-            procs_of[idx] = spec_procs;
+            procs_of[idx] = rel.spec.procs;
             seen[idx] = 0;
             attempts[idx] = 0;
-            time_of[idx] = spec_time;
+            time_of[idx] = rel.spec.time;
             if !stats_only {
-                // These two columns exist only to back the result maps;
-                // a stats-only run never reads them, and skipping the
-                // writes saves two random-index cache misses per release.
-                graph_of[idx] = new_id;
-                released_at[idx] = now;
+                released_at[idx] = Some(now);
             }
             ready += 1;
             stats.events += 1;
@@ -816,29 +803,14 @@ where
     stats.rational_fallbacks = events.fallbacks();
     stats.decide_calls = decisions;
 
-    // Bulk-build the id-keyed result maps from the dense state. Run ids
-    // ascend, so the iterator feeds the BTreeMap in key order and it is
-    // constructed bottom-up in one pass instead of via per-key inserts.
-    let mut id_map: HashMap<TaskId, TaskId> = HashMap::new();
-    let mut release_times: BTreeMap<TaskId, Time> = BTreeMap::new();
-    if !stats_only {
-        id_map.reserve(revealed.len());
-        release_times = flags
-            .iter()
-            .enumerate()
-            .filter(|(_, &f)| f & RELEASED != 0)
-            .map(|(i, _)| {
-                let id = TaskId(i as u32);
-                id_map.insert(id, graph_of[i]);
-                (id, released_at[i])
-            })
-            .collect();
-    }
+    // The release-instant column becomes the result. A hint may
+    // overstate the task count, so cut it after the last release.
+    let mut release_times = std::mem::take(released_at);
+    let released = release_times.iter().rposition(Option::is_some).map_or(0, |i| i + 1);
+    release_times.truncate(released);
 
     Ok(RunResult {
         schedule,
-        revealed,
-        revealed_ids: id_map,
         procs,
         release_times,
         decisions,
@@ -851,6 +823,7 @@ where
 mod tests {
     use super::*;
     use rigid_dag::{DagBuilder, Instance, ReleasedTask, StaticSource, TaskSpec};
+    use std::collections::HashMap;
 
     /// A trivial greedy scheduler: start any ready task that fits, FIFO.
     struct Greedy {
@@ -903,19 +876,12 @@ mod tests {
         // a:[0,2] c:[0,3] b:[2? no — b needs 4 procs, c holds 1 until 3] ⇒
         // b:[3,4]. Makespan 4.
         assert_eq!(result.makespan(), Time::from_int(4));
-        assert_eq!(result.revealed.len(), 3);
-        assert_eq!(result.release_times[&inst.graph().find_by_label("b").unwrap()], Time::from_int(2));
+        // Every task of the instance was released, each under its own id.
+        assert_eq!(result.release_times.len(), inst.graph().len());
+        assert!(result.release_times.iter().all(Option::is_some));
+        let b = inst.graph().find_by_label("b").unwrap();
+        assert_eq!(result.release_times[b.index()], Some(Time::from_int(2)));
         assert!(result.faults.is_clean(4));
-    }
-
-    #[test]
-    fn revealed_graph_matches_instance() {
-        let inst = chain();
-        let mut src = StaticSource::new(inst.clone());
-        let mut sched = Greedy::new();
-        let result = EngineConfig::new().run(&mut src, &mut sched);
-        assert_eq!(result.revealed.len(), inst.graph().len());
-        assert_eq!(result.revealed.edge_count(), inst.graph().edge_count());
     }
 
     #[test]
@@ -941,8 +907,6 @@ mod tests {
         assert_eq!(lean.faults, full.faults);
         assert_eq!(lean.procs, full.procs);
         // Artifacts are skipped entirely.
-        assert_eq!(lean.revealed.len(), 0);
-        assert!(lean.revealed_ids.is_empty());
         assert!(lean.release_times.is_empty());
         assert_eq!(lean.makespan(), Time::ZERO);
     }
@@ -1157,7 +1121,7 @@ mod tests {
         );
         let result = EngineConfig::new().run(&mut src, &mut Greedy::new());
         assert_eq!(result.makespan(), Time::from_int(6));
-        assert_eq!(result.release_times[&TaskId(1)], Time::from_int(5));
+        assert_eq!(result.release_times[1], Some(Time::from_int(5)));
         assert_eq!(
             result.schedule.placement(TaskId(1)).unwrap().start,
             Time::from_int(5)

@@ -14,16 +14,17 @@
 //! Do not modify this file for performance or style: its value is that
 //! it does not change. Bug fixes that alter observable behavior must be
 //! applied to **both** engines, with a differential test witnessing the
-//! agreement. The one deliberate edit so far is a contract change made
-//! in both engines: a single scheduler call per decision instant
-//! (marked in the loop below).
+//! agreement. Two deliberate edits so far change a contract in both
+//! engines, each marked below: a single scheduler call per decision
+//! instant, and a `RunResult` without the rebuilt graph of released
+//! tasks, whose release times are a dense column.
 
 use crate::engine::{EngineStats, RunResult};
 use crate::error::{RunError, SchedulerViolation, SourceViolation};
 use crate::fault::{Attempt, AttemptOutcome, AttemptRecord, FaultLog, FaultModel, NoFaults};
 use crate::schedule::Schedule;
 use crate::scheduler::{FailureResponse, OnlineScheduler};
-use rigid_dag::{InstanceSource, ReleasedTask, TaskGraph, TaskId};
+use rigid_dag::{InstanceSource, ReleasedTask, TaskId};
 use rigid_time::Time;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -80,11 +81,13 @@ pub fn try_run_faulty(
     assert!(procs >= 1);
 
     let mut schedule = Schedule::new(procs);
-    let mut revealed = TaskGraph::new();
-    // The source allocates dense ids; map them to the rebuilt graph (ids
-    // must arrive in order for the rebuild to preserve them).
-    let mut id_map: HashMap<TaskId, TaskId> = HashMap::new();
-    let mut release_times: BTreeMap<TaskId, Time> = BTreeMap::new();
+    // The second deliberate edit: this engine used to rebuild the graph
+    // of released tasks and keep release times in an id-keyed map. The
+    // result now carries only the release times, indexed by the
+    // source's dense ids. The rebuild's duplicate-edge assertion was
+    // what rejected a repeated predecessor; that check is now explicit
+    // and returns the engine's typed error.
+    let mut release_times: Vec<Option<Time>> = Vec::new();
 
     let mut known: HashMap<TaskId, Known> = HashMap::new();
     let mut completed: HashSet<TaskId> = HashSet::new();
@@ -113,8 +116,9 @@ pub fn try_run_faulty(
                 }
                 .into());
             }
+            let mut listed = HashSet::new();
             for &p in &rel.preds {
-                if !id_map.contains_key(&p) {
+                if !known.contains_key(&p) {
                     return Err(
                         SourceViolation::UnknownPredecessor { task: rel.id, pred: p }.into()
                     );
@@ -124,14 +128,17 @@ pub fn try_run_faulty(
                         SourceViolation::PrematureRelease { task: rel.id, pred: p }.into()
                     );
                 }
+                if !listed.insert(p) {
+                    return Err(
+                        SourceViolation::DuplicatePredecessor { task: rel.id, pred: p }.into()
+                    );
+                }
             }
-            let new_id = revealed.add_task(rel.spec.clone());
-            id_map.insert(rel.id, new_id);
-            for &p in &rel.preds {
-                let mapped = id_map[&p];
-                revealed.add_edge(mapped, new_id);
+            let idx = rel.id.index();
+            if idx >= release_times.len() {
+                release_times.resize(idx + 1, None);
             }
-            release_times.insert(rel.id, now);
+            release_times[idx] = Some(now);
             known.insert(
                 rel.id,
                 Known {
@@ -147,7 +154,7 @@ pub fn try_run_faulty(
         // Ask the scheduler what to start now. Capacity dips restrict
         // *new* starts only; running tasks keep their processors.
         //
-        // The one deliberate edit to this frozen engine: it used to repeat
+        // The first deliberate edit to this frozen engine: it used to repeat
         // the call until the scheduler returned nothing. Both engines now
         // make exactly one call per decision instant, as the
         // `OnlineScheduler` contract states, so `decisions` still matches.
@@ -326,8 +333,6 @@ pub fn try_run_faulty(
 
     Ok(RunResult {
         schedule,
-        revealed,
-        revealed_ids: id_map,
         procs,
         release_times,
         decisions,

@@ -125,6 +125,14 @@ impl Schedule {
         Schedule { procs, slots: Vec::new(), placed: 0 }
     }
 
+    /// Creates an empty schedule whose slots for task ids below `tasks`
+    /// are reserved up front, so placing those tasks never regrows them.
+    pub fn with_capacity(procs: u32, tasks: usize) -> Self {
+        let mut schedule = Schedule::new(procs);
+        schedule.slots.reserve_exact(tasks);
+        schedule
+    }
+
     /// Platform size `P`.
     pub fn procs(&self) -> u32 {
         self.procs

@@ -70,8 +70,10 @@ impl Trace {
     /// Builds the trace of a finished run.
     pub fn from_run(result: &RunResult) -> Self {
         let mut events = Vec::with_capacity(result.schedule.len() * 3);
-        for (&task, &at) in &result.release_times {
-            events.push(Event::Released { task, at });
+        for (i, &at) in result.release_times.iter().enumerate() {
+            if let Some(at) = at {
+                events.push(Event::Released { task: TaskId(i as u32), at });
+            }
         }
         for p in result.schedule.placements() {
             events.push(Event::Started {

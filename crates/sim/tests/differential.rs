@@ -1,8 +1,9 @@
 //! Differential tests: the event-driven engine ([`rigid_sim::engine`])
 //! and the frozen pre-refactor stepping engine ([`rigid_sim::reference`])
-//! must produce **identical** `RunResult`s — schedules, revealed graphs,
-//! release times, decision counts, and fault logs — on random DAGs with
-//! random fault schedules.
+//! must produce **identical** `RunResult`s — schedules, release times,
+//! decision counts, and fault logs — and report the same releases to
+//! the scheduler in the same order, on random DAGs with random fault
+//! schedules.
 //!
 //! The schedulers are defined locally (a FIFO greedy and a
 //! priority-sensitive longest-first) so this test does not depend on the
@@ -12,10 +13,11 @@
 
 use proptest::prelude::*;
 use rigid_dag::gen::{self, LengthDist, ProcDist, TaskSampler};
-use rigid_dag::{Instance, ReleasedTask, StaticSource, TaskId};
+use rigid_dag::{Instance, InstanceSource, ReleasedTask, StaticSource, TaskId, TaskSpec};
 use rigid_sim::fault::{Attempt, FaultModel};
 use rigid_sim::{
     reference, EngineConfig, FailureResponse, OnlineScheduler, RunBudget, RunError, RunResult,
+    SourceViolation,
 };
 use rigid_time::Time;
 
@@ -112,6 +114,46 @@ impl OnlineScheduler for LongestFirst {
     }
 }
 
+/// Wraps a scheduler and logs every release the engine reports to it,
+/// as `(task, now)` in call order. Two engines that release different
+/// tasks, at different instants or in a different order leave different
+/// logs.
+struct Recording {
+    inner: Box<dyn OnlineScheduler>,
+    releases: Vec<(TaskId, Time)>,
+}
+
+impl Recording {
+    /// Fifo for `kind` 0, longest-first otherwise.
+    fn new(kind: u8) -> Self {
+        let inner: Box<dyn OnlineScheduler> = if kind == 0 {
+            Box::new(Fifo::new())
+        } else {
+            Box::new(LongestFirst::new())
+        };
+        Recording { inner, releases: Vec::new() }
+    }
+}
+
+impl OnlineScheduler for Recording {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn on_release(&mut self, task: &ReleasedTask, now: Time) {
+        self.releases.push((task.id, now));
+        self.inner.on_release(task, now);
+    }
+    fn on_complete(&mut self, task: TaskId, now: Time) {
+        self.inner.on_complete(task, now);
+    }
+    fn decide_into(&mut self, now: Time, free_procs: u32, out: &mut Vec<TaskId>) {
+        self.inner.decide_into(now, free_procs, out);
+    }
+    fn on_failure(&mut self, task: TaskId, now: Time) -> FailureResponse {
+        self.inner.on_failure(task, now)
+    }
+}
+
 /// A deterministic pseudo-random fault schedule: a splitmix64 hash of
 /// `(seed, task, attempt)` decides each attempt's fate. First attempts
 /// may fail (at half nominal) or straggle (×2); retries always complete
@@ -154,8 +196,6 @@ impl FaultModel for HashFaults {
 
 fn assert_identical(new: &RunResult, old: &RunResult) {
     assert_eq!(new.schedule, old.schedule, "schedules diverge");
-    assert_eq!(new.revealed, old.revealed, "revealed graphs diverge");
-    assert_eq!(new.revealed_ids, old.revealed_ids, "id maps diverge");
     assert_eq!(new.procs, old.procs);
     assert_eq!(new.release_times, old.release_times, "release times diverge");
     assert_eq!(new.decisions, old.decisions, "decision counts diverge");
@@ -164,33 +204,21 @@ fn assert_identical(new: &RunResult, old: &RunResult) {
 
 /// Runs both engines on fresh copies of the same instance + scheduler +
 /// fault schedule and asserts bit-identical outcomes (or identical
-/// typed errors).
+/// typed errors) and identical release logs.
 fn check_instance(inst: &Instance, fault_seed: u64, fail_mod: u64, inflate_mod: u64) {
     for sched_kind in 0..2 {
-        let mut new_sched: Box<dyn OnlineScheduler> = if sched_kind == 0 {
-            Box::new(Fifo::new())
-        } else {
-            Box::new(LongestFirst::new())
-        };
-        let mut old_sched: Box<dyn OnlineScheduler> = if sched_kind == 0 {
-            Box::new(Fifo::new())
-        } else {
-            Box::new(LongestFirst::new())
-        };
-        let mut budget_sched: Box<dyn OnlineScheduler> = if sched_kind == 0 {
-            Box::new(Fifo::new())
-        } else {
-            Box::new(LongestFirst::new())
-        };
+        let mut new_sched = Recording::new(sched_kind);
+        let mut old_sched = Recording::new(sched_kind);
+        let mut budget_sched = Recording::new(sched_kind);
         let mut new_faults = HashFaults { seed: fault_seed, fail_mod, inflate_mod };
         let mut old_faults = HashFaults { seed: fault_seed, fail_mod, inflate_mod };
         let mut budget_faults = HashFaults { seed: fault_seed, fail_mod, inflate_mod };
         let new = EngineConfig::new()
             .faults(&mut new_faults)
-            .try_run(&mut StaticSource::new(inst.clone()), new_sched.as_mut());
+            .try_run(&mut StaticSource::new(inst.clone()), &mut new_sched);
         let old = reference::try_run_faulty(
             &mut StaticSource::new(inst.clone()),
-            old_sched.as_mut(),
+            &mut old_sched,
             &mut old_faults,
         );
         // Below an ample budget a budgeted run must agree with the frozen
@@ -198,7 +226,9 @@ fn check_instance(inst: &Instance, fault_seed: u64, fail_mod: u64, inflate_mod: 
         let budgeted = EngineConfig::new()
             .faults(&mut budget_faults)
             .budget(RunBudget::max_events(u64::MAX))
-            .try_run(&mut StaticSource::new(inst.clone()), budget_sched.as_mut());
+            .try_run(&mut StaticSource::new(inst.clone()), &mut budget_sched);
+        assert_eq!(new_sched.releases, old_sched.releases, "release logs diverge");
+        assert_eq!(budget_sched.releases, old_sched.releases, "budgeted release log diverges");
         match (new, old, budgeted) {
             (Ok(new), Ok(old), Ok(budgeted)) => {
                 assert_identical(&new, &old);
@@ -300,6 +330,39 @@ fn engines_agree_on_large_fixed_instance() {
 fn engines_agree_on_paper_example() {
     let inst = rigid_dag::paper::figure3();
     check_instance(&inst, 0, 0, 0);
+}
+
+/// A source that lists a predecessor twice: both engines reject it with
+/// the same typed error.
+#[test]
+fn engines_agree_on_a_repeated_predecessor() {
+    struct Repeats;
+    impl InstanceSource for Repeats {
+        fn procs(&self) -> u32 {
+            1
+        }
+        fn initial_into(&mut self, out: &mut Vec<ReleasedTask>) {
+            let spec = TaskSpec::new(Time::ONE, 1);
+            out.push(ReleasedTask { id: TaskId(0), spec, preds: vec![] });
+        }
+        fn on_complete_into(&mut self, _task: TaskId, _ci: u64, out: &mut Vec<ReleasedTask>) {
+            let spec = TaskSpec::new(Time::ONE, 1);
+            out.push(ReleasedTask { id: TaskId(1), spec, preds: vec![TaskId(0), TaskId(0)] });
+        }
+        fn expects_more(&self) -> bool {
+            false
+        }
+    }
+    let new = EngineConfig::new().try_run(&mut Repeats, &mut Fifo::new()).unwrap_err();
+    let old = reference::try_run(&mut Repeats, &mut Fifo::new()).unwrap_err();
+    assert_eq!(new, old);
+    assert_eq!(
+        new,
+        RunError::SourceViolation(SourceViolation::DuplicatePredecessor {
+            task: TaskId(1),
+            pred: TaskId(0),
+        })
+    );
 }
 
 /// A budget tight enough to trip cuts the run off with a typed

@@ -68,7 +68,7 @@ fn many_tasks_completing_at_one_instant() {
     let r = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut Greedy::new());
     r.schedule.assert_valid(&inst);
     assert_eq!(r.makespan(), Time::from_int(3));
-    assert_eq!(r.release_times[&tail], Time::from_int(2));
+    assert_eq!(r.release_times[tail.index()], Some(Time::from_int(2)));
 }
 
 #[test]

@@ -127,12 +127,17 @@ fn run_result_bookkeeping() {
     let inst = rigid_dag::gen::fork_join(1, 5, 6, &TaskSampler::default_mix(), 8);
     let r = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
     assert_eq!(r.release_times.len(), inst.len());
-    assert_eq!(r.revealed.len(), inst.len());
-    assert_eq!(r.revealed.edge_count(), inst.graph().edge_count());
     assert!(r.decisions > 0);
     assert_eq!(r.procs, 8);
-    // Every release happens no later than the task starts.
-    for p in r.schedule.placements() {
-        assert!(r.release_times[&p.task] <= p.start);
+    // Every task of the instance is released under its own id, no
+    // earlier than each of its predecessors finishes and no later than
+    // it starts.
+    let g = inst.graph();
+    for id in g.task_ids() {
+        let released = r.release_times[id.index()].expect("every task is released");
+        for &q in g.preds(id) {
+            assert!(r.schedule.placement(q).unwrap().finish <= released);
+        }
+        assert!(released <= r.schedule.placement(id).unwrap().start);
     }
 }

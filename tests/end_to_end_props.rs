@@ -68,7 +68,7 @@ proptest! {
                 .map(|&q| r.schedule.placement(q).unwrap().finish)
                 .max()
                 .unwrap_or(rigid_time::Time::ZERO);
-            prop_assert_eq!(r.release_times[&id], expected);
+            prop_assert_eq!(r.release_times[id.index()], Some(expected));
         }
     }
 
