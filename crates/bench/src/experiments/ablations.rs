@@ -11,11 +11,12 @@
 //! * E18 — **estimate robustness**: CatBatch under multiplicative
 //!   execution-time noise (the first future-work question of Section 7).
 
-use crate::harness::{f3, parallel_map, Sched, Table};
+use crate::harness::{f3, Sched, Table};
 use rigid_baselines::Priority;
 use rigid_dag::analysis;
 use rigid_dag::gen::{family, TaskSampler};
 use rigid_dag::paper::intro_example;
+use rigid_exec::{default_jobs, ordered_map};
 use rigid_time::Time;
 
 /// E17 — batch-barrier ablation.
@@ -32,24 +33,18 @@ pub fn ablation_barrier() -> String {
 
     // Benign side: mean ratio over the random ensemble.
     let seeds: Vec<u64> = (300..308).collect();
-    let jobs: Vec<_> = seeds
-        .iter()
-        .map(|&seed| {
-            move || {
-                let sampler = TaskSampler::default_mix();
-                let mut sums = [0.0f64; 4];
-                let mut count = 0usize;
-                for (_, inst) in family(seed, 120, &sampler, 16) {
-                    for (i, s) in contenders.iter().enumerate() {
-                        sums[i] += s.ratio(&inst);
-                    }
-                    count += 1;
-                }
-                (sums, count)
+    let results = ordered_map(seeds, default_jobs(), |_, seed| {
+        let sampler = TaskSampler::default_mix();
+        let mut sums = [0.0f64; 4];
+        let mut count = 0usize;
+        for (_, inst) in family(seed, 120, &sampler, 16) {
+            for (i, s) in contenders.iter().enumerate() {
+                sums[i] += s.ratio(&inst);
             }
-        })
-        .collect();
-    let results = parallel_map(jobs);
+            count += 1;
+        }
+        (sums, count)
+    });
     let mut sums = [0.0f64; 4];
     let mut count = 0usize;
     for (s, c) in results {
@@ -98,24 +93,19 @@ pub fn ablation_estimates() -> String {
     );
     let mut table = Table::new(&["noise", "mean ratio", "worst ratio", "runs"]);
     for pct in [0u32, 5, 10, 20, 40, 80] {
-        let jobs: Vec<_> = (400..408u64)
-            .map(|seed| {
-                move || {
-                    let sampler = TaskSampler::default_mix();
-                    let mut sum = 0.0;
-                    let mut worst = 1.0f64;
-                    let mut count = 0usize;
-                    for (_, inst) in family(seed, 100, &sampler, 16) {
-                        let r = Sched::Estimated(pct).ratio(&inst);
-                        sum += r;
-                        worst = worst.max(r);
-                        count += 1;
-                    }
-                    (sum, worst, count)
-                }
-            })
-            .collect();
-        let results = parallel_map(jobs);
+        let results = ordered_map((400..408u64).collect(), default_jobs(), |_, seed| {
+            let sampler = TaskSampler::default_mix();
+            let mut sum = 0.0;
+            let mut worst = 1.0f64;
+            let mut count = 0usize;
+            for (_, inst) in family(seed, 100, &sampler, 16) {
+                let r = Sched::Estimated(pct).ratio(&inst);
+                sum += r;
+                worst = worst.max(r);
+                count += 1;
+            }
+            (sum, worst, count)
+        });
         let sum: f64 = results.iter().map(|r| r.0).sum();
         let worst = results.iter().map(|r| r.1).fold(1.0, f64::max);
         let count: usize = results.iter().map(|r| r.2).sum();

@@ -1,10 +1,11 @@
 //! Cross-scheduler comparison (E15) and the strip-packing experiment
 //! (E16).
 
-use crate::harness::{f3, parallel_map, Sched, Table};
+use crate::harness::{f3, Sched, Table};
 use rigid_baselines::{OfflineBatch, OfflineList, Priority, ShelfScheduler};
 use rigid_dag::gen::{family, independent, TaskSampler};
 use rigid_dag::{analysis, StaticSource};
+use rigid_exec::{default_jobs, ordered_map};
 use rigid_sim::engine;
 use rigid_sim::offline::run_offline;
 
@@ -33,31 +34,24 @@ pub fn compare_schedulers() -> String {
         .map(|(name, _)| name)
         .collect();
 
-    let jobs: Vec<_> = seeds
-        .iter()
-        .map(|&seed| {
-            let online = online.clone();
-            move || {
-                let sampler = TaskSampler::default_mix();
-                let mut rows = Vec::new();
-                for (name, inst) in family(seed, n, &sampler, procs) {
-                    let mut ratios = Vec::new();
-                    for s in &online {
-                        ratios.push(s.ratio(&inst));
-                    }
-                    // Offline comparators.
-                    let lb = analysis::lower_bound(&inst);
-                    let ob = run_offline(&mut OfflineBatch::greedy(), &inst);
-                    ratios.push(ob.makespan().ratio(lb).to_f64());
-                    let hlf = run_offline(&mut OfflineList::hlf(), &inst);
-                    ratios.push(hlf.makespan().ratio(lb).to_f64());
-                    rows.push((name, ratios));
-                }
-                rows
+    let all_rows = ordered_map(seeds.clone(), default_jobs(), |_, seed| {
+        let sampler = TaskSampler::default_mix();
+        let mut rows = Vec::new();
+        for (name, inst) in family(seed, n, &sampler, procs) {
+            let mut ratios = Vec::new();
+            for s in &online {
+                ratios.push(s.ratio(&inst));
             }
-        })
-        .collect();
-    let all_rows = parallel_map(jobs);
+            // Offline comparators.
+            let lb = analysis::lower_bound(&inst);
+            let ob = run_offline(&mut OfflineBatch::greedy(), &inst);
+            ratios.push(ob.makespan().ratio(lb).to_f64());
+            let hlf = run_offline(&mut OfflineList::hlf(), &inst);
+            ratios.push(hlf.makespan().ratio(lb).to_f64());
+            rows.push((name, ratios));
+        }
+        rows
+    });
 
     let mut header: Vec<String> = vec!["family".into()];
     header.extend(online.iter().map(|s| s.name()));

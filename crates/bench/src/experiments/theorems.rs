@@ -2,10 +2,11 @@
 //! upper bounds (Theorems 1–2) over random ensembles and the lower-bound
 //! scaling (Theorems 3–4) against the adaptive adversary.
 
-use crate::harness::{f3, parallel_map, Sched, Table};
+use crate::harness::{f3, Sched, Table};
 use catbatch::lmatrix::{theorem1_ratio_bound, theorem2_ratio_bound};
 use rigid_baselines::Priority;
 use rigid_dag::gen::{family, LengthDist, ProcDist, TaskSampler};
+use rigid_exec::{default_jobs, ordered_map};
 use rigid_lowerbounds::theorems::{
     theorem3_length_ratio, theorem3_params, theorem3_ratio_floor, theorem3_task_count,
     theorem4_params, theorem4_ratio_floor,
@@ -25,28 +26,21 @@ pub fn thm1_ratio_n() -> String {
     ]);
     let seeds: Vec<u64> = (0..6).collect();
     for n in [8usize, 32, 128, 512, 2048] {
-        let jobs: Vec<_> = seeds
-            .iter()
-            .map(|&seed| {
-                move || {
-                    let sampler = TaskSampler::default_mix();
-                    let mut worst_cb = 1.0f64;
-                    let mut sum_cb = 0.0f64;
-                    let mut count = 0usize;
-                    let mut worst_list = 1.0f64;
-                    for (_, inst) in family(seed, n, &sampler, 16) {
-                        let r = Sched::CatBatch.ratio(&inst);
-                        worst_cb = worst_cb.max(r);
-                        sum_cb += r;
-                        count += 1;
-                        worst_list =
-                            worst_list.max(Sched::List(Priority::Fifo).ratio(&inst));
-                    }
-                    (worst_cb, sum_cb, count, worst_list)
-                }
-            })
-            .collect();
-        let results = parallel_map(jobs);
+        let results = ordered_map(seeds.clone(), default_jobs(), |_, seed| {
+            let sampler = TaskSampler::default_mix();
+            let mut worst_cb = 1.0f64;
+            let mut sum_cb = 0.0f64;
+            let mut count = 0usize;
+            let mut worst_list = 1.0f64;
+            for (_, inst) in family(seed, n, &sampler, 16) {
+                let r = Sched::CatBatch.ratio(&inst);
+                worst_cb = worst_cb.max(r);
+                sum_cb += r;
+                count += 1;
+                worst_list = worst_list.max(Sched::List(Priority::Fifo).ratio(&inst));
+            }
+            (worst_cb, sum_cb, count, worst_list)
+        });
         let worst_cb = results.iter().map(|r| r.0).fold(1.0, f64::max);
         let total: f64 = results.iter().map(|r| r.1).sum();
         let count: usize = results.iter().map(|r| r.2).sum();
@@ -80,42 +74,33 @@ pub fn thm2_ratio_mm() -> String {
     for spread_log2 in [0u32, 2, 4, 6, 8, 10] {
         let m_len = 1.0f64;
         let big_m = (1u64 << spread_log2) as f64;
-        let jobs: Vec<_> = (0..8u64)
-            .map(|seed| {
-                move || {
-                    let sampler = TaskSampler {
-                        length: if spread_log2 == 0 {
-                            LengthDist::Constant(Time::ONE)
-                        } else {
-                            LengthDist::LogUniform {
-                                min: m_len,
-                                max: big_m,
-                            }
-                        },
-                        procs: ProcDist::PowersOfTwo,
-                    };
-                    let mut worst = 1.0f64;
-                    let mut sum = 0.0;
-                    let mut count = 0usize;
-                    for (_, inst) in family(seed, 120, &sampler, 16) {
-                        let stats = rigid_dag::analysis::stats(&inst);
-                        let r = Sched::CatBatch.ratio(&inst);
-                        // Check against the instance's own actual M/m.
-                        let bound =
-                            theorem2_ratio_bound(stats.min_len, stats.max_len);
-                        assert!(
-                            r <= bound + 1e-9,
-                            "Theorem 2 violated: ratio {r} > {bound}"
-                        );
-                        worst = worst.max(r);
-                        sum += r;
-                        count += 1;
+        let results = ordered_map((0..8u64).collect(), default_jobs(), |_, seed| {
+            let sampler = TaskSampler {
+                length: if spread_log2 == 0 {
+                    LengthDist::Constant(Time::ONE)
+                } else {
+                    LengthDist::LogUniform {
+                        min: m_len,
+                        max: big_m,
                     }
-                    (worst, sum, count)
-                }
-            })
-            .collect();
-        let results = parallel_map(jobs);
+                },
+                procs: ProcDist::PowersOfTwo,
+            };
+            let mut worst = 1.0f64;
+            let mut sum = 0.0;
+            let mut count = 0usize;
+            for (_, inst) in family(seed, 120, &sampler, 16) {
+                let stats = rigid_dag::analysis::stats(&inst);
+                let r = Sched::CatBatch.ratio(&inst);
+                // Check against the instance's own actual M/m.
+                let bound = theorem2_ratio_bound(stats.min_len, stats.max_len);
+                assert!(r <= bound + 1e-9, "Theorem 2 violated: ratio {r} > {bound}");
+                worst = worst.max(r);
+                sum += r;
+                count += 1;
+            }
+            (worst, sum, count)
+        });
         let worst = results.iter().map(|r| r.0).fold(1.0, f64::max);
         let total: f64 = results.iter().map(|r| r.1).sum();
         let count: usize = results.iter().map(|r| r.2).sum();

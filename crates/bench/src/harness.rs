@@ -1,5 +1,5 @@
-//! Shared experiment harness: scheduler registry, ratio runs, text tables
-//! and parallel sweeps.
+//! Shared experiment harness: scheduler registry, ratio runs and text
+//! tables.
 
 use catbatch::{CatBatch, CatBatchBackfill, CatPrio, EstimatedCatBatch};
 use rigid_baselines::{ListScheduler, Priority};
@@ -153,43 +153,6 @@ pub fn ft(t: Time) -> String {
     }
 }
 
-/// Runs `jobs` closures on worker threads (one per available core, capped
-/// by the job count) and returns their results in input order. Used by
-/// the ratio sweeps, which are embarrassingly parallel.
-pub fn parallel_map<T, F>(jobs: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let n = jobs.len();
-    let workers = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(4)
-        .min(n.max(1));
-    let results: Vec<parking_lot::Mutex<Option<T>>> =
-        (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
-    let queue = parking_lot::Mutex::new(jobs.into_iter().enumerate().collect::<Vec<_>>());
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let job = queue.lock().pop();
-                match job {
-                    Some((idx, f)) => {
-                        let value = f();
-                        *results[idx].lock() = Some(value);
-                    }
-                    None => break,
-                }
-            });
-        }
-    })
-    .expect("sweep worker panicked");
-    results
-        .into_iter()
-        .map(|m| m.into_inner().expect("job ran"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,12 +175,5 @@ mod tests {
         let s = t.render();
         assert!(s.contains("catbatch  1.5"));
         assert!(s.lines().count() == 4);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let jobs: Vec<_> = (0..20usize).map(|i| move || i * i).collect();
-        let out = parallel_map(jobs);
-        assert_eq!(out, (0..20).map(|i| i * i).collect::<Vec<_>>());
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Regenerates every figure, table and theorem-level claim of the SPAA'25
 //! CatBatch paper (experiments E01–E16; see DESIGN.md for the index), and
-//! hosts the Criterion performance benches.
+//! hosts the `catbatch bench` scenario matrix ([`perf`]) and the
+//! `time_ablation` binary.
 //!
 //! Run individual experiments:
 //!

@@ -19,19 +19,15 @@
 //! [`rigid_sim::EngineScratch`], so the measured number is the hot loop
 //! itself rather than result-map and graph construction; the timed
 //! runs' event counters are asserted identical to the validated run's.
-//! The **median** wall time is reported (the v1 schema reported the
-//! minimum; the median is stable under scheduling noise without being
-//! as optimistic), and the repetition count is recorded per scenario so
-//! a report is self-describing.
+//! The **median** wall time is reported (it is stable under scheduling
+//! noise without being as optimistic as the minimum), and the repetition
+//! count is recorded per scenario so a report is self-describing.
 //!
 //! The JSON shape (`BENCH_engine.json`, schema
 //! `catbatch-bench-engine/v1.4`) is documented in `docs/performance.md`;
 //! [`check_regression`] is the guard CI's `bench-smoke` job runs against
-//! the committed snapshot in `results/bench_baseline.json`
-//! (v1/v1.1/v1.2/v1.3 baselines are still accepted — v1.1 added an
-//! optional field, v1.2 changed what `wall_ms` times, v1.3 added the
-//! optional `serve` daemon-throughput section, v1.4 added the optional
-//! per-scenario `profile` section and batched tiny-scenario timing).
+//! the committed snapshot in `results/bench_baseline.json`: exact
+//! deterministic counters, and events/sec within a loose factor.
 //!
 //! Besides the engine matrix, every report carries a [`ServeBench`]
 //! section: an in-process `catbatch serve` daemon driven by the load
@@ -110,30 +106,9 @@ impl OnlineScheduler for PreRefactorFifo {
     }
 }
 
-/// Schema identifier written into every report. The `v1.1` minor bump
-/// added the optional per-scenario `repeats` field and switched
-/// `wall_ms` from best-of-reps to median-of-reps (after a warmup run);
-/// `v1.2` switched the timed repetitions to the engine's stats-only
-/// recording mode; `v1.3` added the optional `serve` section (daemon
-/// round-trip throughput); `v1.4` added the optional per-scenario
-/// `profile` section (calendar-queue counters) and batches the timed
-/// repetitions of sub-millisecond scenarios inside one timed region so
-/// tiny-scenario numbers stop being timer-overhead artifacts.
-/// [`check_regression`] still accepts [`SCHEMA_V1`], [`SCHEMA_V1_1`],
-/// [`SCHEMA_V1_2`] and [`SCHEMA_V1_3`] baselines.
+/// Schema identifier written into every report, and the only one
+/// [`check_regression`] accepts as a baseline.
 pub const SCHEMA: &str = "catbatch-bench-engine/v1.4";
-
-/// The original report schema, accepted as a `--check` baseline.
-pub const SCHEMA_V1: &str = "catbatch-bench-engine/v1";
-
-/// The v1.1 report schema, accepted as a `--check` baseline.
-pub const SCHEMA_V1_1: &str = "catbatch-bench-engine/v1.1";
-
-/// The v1.2 report schema, accepted as a `--check` baseline.
-pub const SCHEMA_V1_2: &str = "catbatch-bench-engine/v1.2";
-
-/// The v1.3 report schema, accepted as a `--check` baseline.
-pub const SCHEMA_V1_3: &str = "catbatch-bench-engine/v1.3";
 
 /// Schema identifier of the resumable scenario journal
 /// (`catbatch bench --journal`).
@@ -295,9 +270,8 @@ pub struct ScenarioResult {
     /// Scheduler name.
     pub scheduler: String,
     /// Median wall-clock time over the timed repetitions, milliseconds.
-    /// Since v1.2 the timed repetitions run the engine in stats-only
-    /// mode (hot loop only, no result artifacts); v1 reported the
-    /// minimum instead of the median.
+    /// The timed repetitions run the engine in stats-only mode (hot loop
+    /// only, no result artifacts).
     pub wall_ms: f64,
     /// Engine events (releases + completions + failures).
     pub events: u64,
@@ -314,19 +288,17 @@ pub struct ScenarioResult {
     /// Instance max/min task length ratio (`None` for degenerate
     /// instances — serialized as `null`).
     pub length_ratio: Option<f64>,
-    /// Timed repetitions behind `wall_ms` (added in schema v1.1;
-    /// `None` when reading a v1 report).
-    pub repeats: Option<u32>,
-    /// Engine loop breakdown from the validated run (added in schema
-    /// v1.4; `None` when reading an older report). The `catbatch bench
+    /// Timed repetitions behind `wall_ms`.
+    pub repeats: u32,
+    /// Engine loop breakdown from the validated run. The `catbatch bench
     /// --profile` flag renders these in the table view.
-    pub profile: Option<EngineProfile>,
+    pub profile: EngineProfile,
 }
 
-/// The per-scenario engine-loop breakdown (schema v1.4): the calendar
-/// queue's operation counters plus the batching and pre-sizing
-/// telemetry, copied verbatim from [`rigid_sim::EngineStats`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// The per-scenario engine-loop breakdown: the calendar queue's
+/// operation counters plus the batching and pre-sizing telemetry, copied
+/// verbatim from [`rigid_sim::EngineStats`].
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EngineProfile {
     /// Events pushed into the calendar queue (attempt starts).
     pub queue_pushes: u64,
@@ -362,6 +334,19 @@ impl EngineProfile {
             hint_misses: stats.hint_misses,
         }
     }
+
+    /// Every counter with its member name, in declaration order.
+    fn counters(&self) -> [(&'static str, u64); 7] {
+        [
+            ("queue_pushes", self.queue_pushes),
+            ("queue_pops", self.queue_pops),
+            ("rational_fallbacks", self.rational_fallbacks),
+            ("decide_calls", self.decide_calls),
+            ("batches", self.batches),
+            ("max_batch", self.max_batch),
+            ("hint_misses", self.hint_misses),
+        ]
+    }
 }
 
 /// The event-driven vs pre-refactor hot-path comparison (full tier
@@ -392,11 +377,11 @@ pub struct RefComparison {
     pub engine_only_speedup: f64,
 }
 
-/// Daemon round-trip throughput (added in schema v1.3): an in-process
-/// `catbatch serve` daemon on a throwaway Unix socket, hammered by the
-/// load generator. Unlike the engine scenarios this measures the whole
-/// service path — frame codec, session reorder buffer, shard queues,
-/// supervised execution — not just the simulation hot loop.
+/// Daemon round-trip throughput: an in-process `catbatch serve` daemon
+/// on a throwaway Unix socket, hammered by the load generator. Unlike
+/// the engine scenarios this measures the whole service path — frame
+/// codec, session reorder buffer, shard queues, supervised execution —
+/// not just the simulation hot loop.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ServeBench {
     /// Daemon worker (= shard) count.
@@ -430,15 +415,16 @@ pub struct BenchReport {
     pub scenarios: Vec<ScenarioResult>,
     /// Present on the full tier: the 10⁵-task engine comparison.
     pub reference: Option<RefComparison>,
-    /// The daemon throughput section (schema v1.3; `None` when reading
-    /// an older report, or if the socket could not be bound).
+    /// The daemon throughput section (`None` if the socket could not be
+    /// bound).
     pub serve: Option<ServeBench>,
 }
 
 /// A timed region must span at least this long, or its measurement is
-/// timer-granularity noise: sub-10µs scenarios (fig3 is 11 tasks)
-/// otherwise report events/sec dominated by `Instant::now` overhead.
-const MIN_TIMED_REGION_SECS: f64 = 1e-3;
+/// noise: sub-10µs scenarios (fig3 is 11 tasks) otherwise report
+/// events/sec dominated by `Instant::now` overhead, and a sub-millisecond
+/// one (`rand-layered-n1000`) by a single preemption on a loaded box.
+const MIN_TIMED_REGION_SECS: f64 = 20e-3;
 
 /// Times `reps` runs of `engine_fn` against fresh source/scheduler
 /// pairs (instance cloning and scheduler construction stay outside the
@@ -540,8 +526,8 @@ fn run_scenario(sc: &Scenario) -> ScenarioResult {
         lower_bound: lb.to_f64(),
         makespan_ratio: full.makespan().ratio(lb).to_f64(),
         length_ratio: stats.length_ratio(),
-        repeats: Some(sc.reps),
-        profile: Some(EngineProfile::from_stats(&full.stats)),
+        repeats: sc.reps,
+        profile: EngineProfile::from_stats(&full.stats),
     }
 }
 
@@ -870,7 +856,7 @@ pub fn render_profile(report: &BenchReport) -> String {
         "hint_miss",
     ]);
     for r in &report.scenarios {
-        let Some(p) = &r.profile else { continue };
+        let p = &r.profile;
         t.row(vec![
             r.name.clone(),
             p.queue_pushes.to_string(),
@@ -885,10 +871,11 @@ pub fn render_profile(report: &BenchReport) -> String {
     t.render()
 }
 
-/// Compares a fresh report against a committed baseline and fails if any
-/// shared scenario's event throughput dropped by more than `factor`
-/// (CI uses 2.0: a >2x regression on same-name scenarios fails the
-/// `bench-smoke` job; the loose factor absorbs machine-to-machine
+/// Compares a fresh report against a committed baseline. It fails if any
+/// shared scenario's `events` or [`EngineProfile`] counter differs from
+/// the baseline's (they are deterministic, so any difference is a change
+/// in the simulation), or if its event throughput dropped by more than
+/// `factor` (CI uses 2.0: the loose factor absorbs machine-to-machine
 /// noise).
 pub fn check_regression(
     current: &BenchReport,
@@ -896,20 +883,29 @@ pub fn check_regression(
     factor: f64,
 ) -> Result<(), String> {
     assert!(factor >= 1.0, "regression factor must be >= 1");
-    let accepted = [SCHEMA, SCHEMA_V1_3, SCHEMA_V1_2, SCHEMA_V1_1, SCHEMA_V1];
-    if !accepted.contains(&baseline.schema.as_str()) {
+    if baseline.schema != SCHEMA {
         return Err(format!(
-            "baseline schema {:?} does not match {SCHEMA:?} \
-             (or {SCHEMA_V1_3:?}, {SCHEMA_V1_2:?}, {SCHEMA_V1_1:?}, {SCHEMA_V1:?})",
+            "baseline schema {:?} does not match {SCHEMA:?}",
             baseline.schema
         ));
     }
+    let counters =
+        |r: &ScenarioResult| std::iter::once(("events", r.events)).chain(r.profile.counters());
     let mut compared = 0usize;
     for cur in &current.scenarios {
         let Some(base) = baseline.scenarios.iter().find(|b| b.name == cur.name) else {
             continue;
         };
         compared += 1;
+        for ((counter, want), (_, got)) in counters(base).zip(counters(cur)) {
+            if got != want {
+                return Err(format!(
+                    "{}: {counter} is {got}, baseline {want} \
+                     (the counters are deterministic; the simulation changed)",
+                    cur.name
+                ));
+            }
+        }
         if cur.events_per_sec * factor < base.events_per_sec {
             return Err(format!(
                 "{}: events/sec regressed more than {factor}x \
@@ -961,8 +957,8 @@ mod tests {
                 r.makespan_ratio
             );
             assert!(r.length_ratio.is_some(), "{}: degenerate stats", r.name);
-            assert!(r.repeats.is_some_and(|n| n >= 1), "{}: no repeat count", r.name);
-            let p = r.profile.as_ref().expect("v1.4 reports carry a profile");
+            assert!(r.repeats >= 1, "{}: no repeat count", r.name);
+            let p = &r.profile;
             assert_eq!(p.queue_pushes, p.queue_pops, "{}: unbalanced queue", r.name);
             assert_eq!(p.hint_misses, 0, "{}: scratch grew mid-run", r.name);
             // Static, fault-free scenarios: one decision at time zero and
@@ -980,7 +976,7 @@ mod tests {
         // exercise the exact-`Rational` overflow path.
         let fig3 = report.scenarios.iter().find(|r| r.name == "fig3-catbatch").unwrap();
         assert!(
-            fig3.profile.as_ref().unwrap().rational_fallbacks > 0,
+            fig3.profile.rational_fallbacks > 0,
             "fig3 must hit the rational overflow heap"
         );
         let serve = report.serve.expect("serve section present");
@@ -1010,6 +1006,7 @@ mod tests {
         assert_eq!(back.scenarios.len(), report.scenarios.len());
         assert_eq!(back.scenarios[0].events, report.scenarios[0].events);
         assert_eq!(back.scenarios[0].repeats, report.scenarios[0].repeats);
+        assert_eq!(back.scenarios[0].profile, report.scenarios[0].profile);
     }
 
     #[test]
@@ -1027,71 +1024,20 @@ mod tests {
             r.name = format!("other-{}", r.name);
         }
         assert!(check_regression(&report, &foreign, 2.0).is_err());
-    }
-
-    #[test]
-    fn regression_check_accepts_v1_baselines_without_repeats() {
-        let report = run(true, 1);
-        // A v1 baseline: old schema string, no `repeats` field at all.
-        let mut v1_json = serde_json::to_string(&report).unwrap();
-        v1_json = v1_json.replace(SCHEMA, SCHEMA_V1);
-        let v1_json = regex_strip_repeats(&v1_json);
-        let baseline: BenchReport =
-            serde_json::from_str(&v1_json).expect("v1 report must still parse");
-        assert_eq!(baseline.schema, SCHEMA_V1);
-        assert!(baseline.scenarios.iter().all(|r| r.repeats.is_none()));
-        check_regression(&report, &baseline, 2.0).expect("v1 baseline accepted");
-        // Unknown schemas are still rejected.
+        // Unknown schemas are rejected.
         let mut alien = report.clone();
         alien.schema = "catbatch-bench-engine/v99".into();
         assert!(check_regression(&report, &alien, 2.0).is_err());
-    }
-
-    #[test]
-    fn regression_check_accepts_v12_baselines_without_serve_section() {
-        let report = run(true, 1);
-        // A v1.2 baseline predates the `serve` member entirely.
-        let mut doc: Vec<(String, serde::Value)> =
-            match serde_json::from_str::<serde::Value>(&serde_json::to_string(&report).unwrap())
-                .unwrap()
-            {
-                serde::Value::Object(entries) => entries,
-                other => panic!("report serializes as an object, got {other:?}"),
-            };
-        doc.retain(|(k, _)| k != "serve");
-        for (k, v) in &mut doc {
-            if k == "schema" {
-                *v = serde::Value::Str(SCHEMA_V1_2.to_string());
-            }
-        }
-        let baseline: BenchReport =
-            serde_json::from_str(&serde_json::to_string(&serde::Value::Object(doc)).unwrap())
-                .expect("v1.2 report must still parse");
-        assert_eq!(baseline.schema, SCHEMA_V1_2);
-        assert!(baseline.serve.is_none(), "missing serve member reads as None");
-        check_regression(&report, &baseline, 2.0).expect("v1.2 baseline accepted");
-    }
-
-    #[test]
-    fn regression_check_accepts_v13_baselines_without_profile() {
-        let report = run(true, 1);
-        // A v1.3 baseline predates the per-scenario `profile` member.
-        let mut doc = serde_json::to_string(&report).unwrap();
-        doc = doc.replace(SCHEMA, SCHEMA_V1_3);
-        let mut stripped = String::with_capacity(doc.len());
-        let mut rest = doc.as_str();
-        while let Some(pos) = rest.find(",\"profile\":{") {
-            stripped.push_str(&rest[..pos]);
-            let after = &rest[pos + ",\"profile\":".len()..];
-            let end = after.find('}').expect("profile object is flat") + 1;
-            rest = &after[end..];
-        }
-        stripped.push_str(rest);
-        let baseline: BenchReport =
-            serde_json::from_str(&stripped).expect("v1.3 report must still parse");
-        assert_eq!(baseline.schema, SCHEMA_V1_3);
-        assert!(baseline.scenarios.iter().all(|r| r.profile.is_none()));
-        check_regression(&report, &baseline, 2.0).expect("v1.3 baseline accepted");
+        // The deterministic counters must match exactly, whatever the
+        // throughput.
+        let mut changed = report.clone();
+        changed.scenarios[0].profile.decide_calls += 1;
+        let err = check_regression(&changed, &report, 2.0).unwrap_err();
+        assert!(err.starts_with("fig3-catbatch: decide_calls is "), "{err}");
+        let mut changed = report.clone();
+        changed.scenarios[3].events -= 1;
+        let err = check_regression(&changed, &report, 2.0).unwrap_err();
+        assert!(err.starts_with("rand-layered-n1000: events is "), "{err}");
     }
 
     #[test]
@@ -1102,23 +1048,6 @@ mod tests {
             assert!(table.contains(&r.name), "profile table misses {}", r.name);
         }
         assert!(table.contains("rat_fb") && table.contains("hint_miss"));
-    }
-
-    /// Drops every `"repeats": <n>` member from a serialized report,
-    /// emulating a document written before the field existed.
-    fn regex_strip_repeats(json: &str) -> String {
-        let mut out = String::with_capacity(json.len());
-        let mut rest = json;
-        while let Some(pos) = rest.find(",\"repeats\":") {
-            out.push_str(&rest[..pos]);
-            let after = &rest[pos + ",\"repeats\":".len()..];
-            let end = after
-                .find(|c: char| !c.is_ascii_digit())
-                .expect("repeats value is followed by more JSON");
-            rest = &after[end..];
-        }
-        out.push_str(rest);
-        out
     }
 
     #[test]

@@ -1,40 +1,7 @@
 //! Hand-rolled argument parsing (no external dependencies).
 
+use rigid_serve::SCHEDULERS;
 use rigid_supervise::ShardSpec;
-
-/// A scheduler selectable from the command line.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedChoice {
-    /// The paper's algorithm.
-    CatBatch,
-    /// Guarantee-preserving backfilling.
-    Backfill,
-    /// Work-conserving category priority.
-    CatPrio,
-    /// Contiguous strip variant.
-    Strip,
-    /// ASAP list scheduling, FIFO order.
-    ListFifo,
-    /// ASAP list scheduling, longest first.
-    ListLongest,
-}
-
-impl SchedChoice {
-    /// Parses a `--scheduler` value.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "catbatch" => Ok(SchedChoice::CatBatch),
-            "backfill" => Ok(SchedChoice::Backfill),
-            "catprio" => Ok(SchedChoice::CatPrio),
-            "strip" => Ok(SchedChoice::Strip),
-            "list-fifo" => Ok(SchedChoice::ListFifo),
-            "list-longest" => Ok(SchedChoice::ListLongest),
-            other => Err(format!(
-                "unknown scheduler {other:?} (try: catbatch, backfill, catprio, strip, list-fifo, list-longest)"
-            )),
-        }
-    }
-}
 
 /// A parsed CLI invocation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -43,8 +10,8 @@ pub enum Command {
     Schedule {
         /// Instance file path.
         file: String,
-        /// Scheduler to run.
-        scheduler: SchedChoice,
+        /// Scheduler to run, one of [`SCHEDULERS`].
+        scheduler: String,
         /// Print an ASCII Gantt chart.
         gantt: bool,
         /// Print the JSON event trace.
@@ -80,8 +47,8 @@ pub enum Command {
     Faults {
         /// Instance file path.
         file: String,
-        /// Scheduler to run.
-        scheduler: SchedChoice,
+        /// Scheduler to run, one of [`SCHEDULERS`].
+        scheduler: String,
         /// Base injector seed (trial `i` uses `seed + i`).
         seed: u64,
         /// Number of seeded trials.
@@ -131,8 +98,9 @@ pub enum Command {
         /// Output path for the JSON report (implies `--json` semantics
         /// for where the file goes; default `BENCH_engine.json`).
         out: String,
-        /// Baseline report to compare events/sec against; the command
-        /// fails on a >2x regression for any shared scenario.
+        /// Baseline report to compare against; the command fails when a
+        /// shared scenario's engine counters differ or its events/sec
+        /// regressed >2x.
         check: Option<String>,
         /// Scenario journal path (one record per finished scenario).
         journal: Option<String>,
@@ -186,8 +154,9 @@ pub enum Command {
         n: usize,
         /// Platform size of generated instances.
         procs: u32,
-        /// Scheduler to request (validated locally before submitting).
-        scheduler: SchedChoice,
+        /// Scheduler to request, one of [`SCHEDULERS`] (validated
+        /// locally before submitting).
+        scheduler: String,
         /// Base seed; client `i` generates its DAG from `seed + i`.
         seed: u64,
         /// In-flight jobs per client connection.
@@ -285,7 +254,8 @@ USAGE:
       --profile also prints the engine-loop counter breakdown (calendar
       queue pushes/pops, rational fallbacks, decision rounds, cohort
       batch sizes, scratch pre-sizing overruns) per scenario;
-      --check fails on a >2x events/sec regression vs a baseline report;
+      --check fails when a scenario's engine counters differ from a
+      baseline report's or its events/sec regressed >2x;
       --journal/--resume checkpoint finished scenarios so a killed
       bench run resumes without re-timing them; --jobs runs the sweep
       on N worker threads (scenario order in the report is unchanged)
@@ -342,12 +312,35 @@ fn take_value<'a>(
         .ok_or_else(|| format!("{flag} needs a value"))
 }
 
-fn parse_jobs(value: &str) -> Result<usize, String> {
-    let n: usize = value.parse().map_err(|_| "bad --jobs value".to_string())?;
-    if n == 0 {
-        return Err("--jobs must be at least 1".into());
+/// The next argument parsed as the value of `flag`.
+fn take_parsed<'a, T: std::str::FromStr>(
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a str>,
+) -> Result<T, String> {
+    take_value(flag, it)?
+        .parse()
+        .map_err(|_| format!("bad {flag} value"))
+}
+
+/// The next argument as a worker count of at least 1.
+fn take_jobs<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<usize, String> {
+    match take_parsed("--jobs", it)? {
+        0 => Err("--jobs must be at least 1".into()),
+        n => Ok(n),
     }
-    Ok(n)
+}
+
+/// The next argument as a scheduler name the daemon knows.
+fn take_scheduler<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<String, String> {
+    let name = take_value("--scheduler", it)?;
+    if SCHEDULERS.contains(&name.as_str()) {
+        Ok(name)
+    } else {
+        Err(format!(
+            "unknown scheduler {name:?} (try: {})",
+            SCHEDULERS.join(", ")
+        ))
+    }
 }
 
 /// Parses command-line arguments (without the program name).
@@ -358,15 +351,13 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
         None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
         Some("schedule") => {
             let mut file = None;
-            let mut scheduler = SchedChoice::CatBatch;
+            let mut scheduler = "catbatch".to_string();
             let mut gantt = false;
             let mut trace = false;
             let mut svg = false;
             while let Some(a) = it.next() {
                 match a {
-                    "--scheduler" => {
-                        scheduler = SchedChoice::parse(&take_value(a, &mut it)?)?;
-                    }
+                    "--scheduler" => scheduler = take_scheduler(&mut it)?,
                     "--gantt" => gantt = true,
                     "--trace" => trace = true,
                     "--svg" => svg = true,
@@ -396,25 +387,9 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
             while let Some(a) = it.next() {
                 match a {
                     "--family" => family = Some(take_value(a, &mut it)?),
-                    "--n" => {
-                        n = Some(
-                            take_value(a, &mut it)?
-                                .parse()
-                                .map_err(|_| "bad --n value".to_string())?,
-                        )
-                    }
-                    "--procs" => {
-                        procs = Some(
-                            take_value(a, &mut it)?
-                                .parse()
-                                .map_err(|_| "bad --procs value".to_string())?,
-                        )
-                    }
-                    "--seed" => {
-                        seed = take_value(a, &mut it)?
-                            .parse()
-                            .map_err(|_| "bad --seed value".to_string())?
-                    }
+                    "--n" => n = Some(take_parsed(a, &mut it)?),
+                    "--procs" => procs = Some(take_parsed(a, &mut it)?),
+                    "--seed" => seed = take_parsed(a, &mut it)?,
                     other => return Err(format!("unexpected argument {other:?}")),
                 }
             }
@@ -427,7 +402,7 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
         }
         Some("faults") => {
             let mut file = None;
-            let mut scheduler = SchedChoice::CatBatch;
+            let mut scheduler = "catbatch".to_string();
             let mut seed = 42u64;
             let mut trials = 5usize;
             let mut fail = 200u32;
@@ -442,64 +417,24 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
             let mut chaos_exit_after = None;
             while let Some(a) = it.next() {
                 match a {
-                    "--scheduler" => {
-                        scheduler = SchedChoice::parse(&take_value(a, &mut it)?)?;
-                    }
-                    "--seed" => {
-                        seed = take_value(a, &mut it)?
-                            .parse()
-                            .map_err(|_| "bad --seed value".to_string())?
-                    }
-                    "--trials" => {
-                        trials = take_value(a, &mut it)?
-                            .parse()
-                            .map_err(|_| "bad --trials value".to_string())?
-                    }
-                    "--fail" => {
-                        fail = take_value(a, &mut it)?
-                            .parse()
-                            .map_err(|_| "bad --fail value".to_string())?
-                    }
-                    "--straggle" => {
-                        straggle = take_value(a, &mut it)?
-                            .parse()
-                            .map_err(|_| "bad --straggle value".to_string())?
-                    }
-                    "--retries" => {
-                        retries = take_value(a, &mut it)?
-                            .parse()
-                            .map_err(|_| "bad --retries value".to_string())?
-                    }
+                    "--scheduler" => scheduler = take_scheduler(&mut it)?,
+                    "--seed" => seed = take_parsed(a, &mut it)?,
+                    "--trials" => trials = take_parsed(a, &mut it)?,
+                    "--fail" => fail = take_parsed(a, &mut it)?,
+                    "--straggle" => straggle = take_parsed(a, &mut it)?,
+                    "--retries" => retries = take_parsed(a, &mut it)?,
                     "--journal" => journal = Some(take_value(a, &mut it)?),
                     "--resume" => resume = true,
-                    "--watchdog-ms" => {
-                        watchdog_ms = Some(
-                            take_value(a, &mut it)?
-                                .parse()
-                                .map_err(|_| "bad --watchdog-ms value".to_string())?,
-                        )
-                    }
-                    "--max-events" => {
-                        max_events = Some(
-                            take_value(a, &mut it)?
-                                .parse()
-                                .map_err(|_| "bad --max-events value".to_string())?,
-                        )
-                    }
-                    "--jobs" => jobs = Some(parse_jobs(&take_value(a, &mut it)?)?),
+                    "--watchdog-ms" => watchdog_ms = Some(take_parsed(a, &mut it)?),
+                    "--max-events" => max_events = Some(take_parsed(a, &mut it)?),
+                    "--jobs" => jobs = Some(take_jobs(&mut it)?),
                     "--shard" => {
                         shard = Some(
                             ShardSpec::parse(&take_value(a, &mut it)?)
                                 .map_err(|e| format!("--shard: {e}"))?,
                         )
                     }
-                    "--chaos-exit-after" => {
-                        chaos_exit_after = Some(
-                            take_value(a, &mut it)?
-                                .parse()
-                                .map_err(|_| "bad --chaos-exit-after value".to_string())?,
-                        )
-                    }
+                    "--chaos-exit-after" => chaos_exit_after = Some(take_parsed(a, &mut it)?),
                     f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
                     other => return Err(format!("unexpected argument {other:?}")),
                 }
@@ -571,7 +506,7 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
                     "--check" => check = Some(take_value(a, &mut it)?),
                     "--journal" => journal = Some(take_value(a, &mut it)?),
                     "--resume" => resume = true,
-                    "--jobs" => jobs = Some(parse_jobs(&take_value(a, &mut it)?)?),
+                    "--jobs" => jobs = Some(take_jobs(&mut it)?),
                     other => return Err(format!("unexpected argument {other:?}")),
                 }
             }
@@ -603,41 +538,13 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
                 match a {
                     "--bind" => bind = take_value(a, &mut it)?,
                     "--tcp" => tcp = Some(take_value(a, &mut it)?),
-                    "--max-sessions" => {
-                        max_sessions = take_value(a, &mut it)?
-                            .parse()
-                            .map_err(|_| "bad --max-sessions value".to_string())?
-                    }
-                    "--workers" => {
-                        workers = take_value(a, &mut it)?
-                            .parse()
-                            .map_err(|_| "bad --workers value".to_string())?
-                    }
-                    "--queue-depth" => {
-                        queue_depth = take_value(a, &mut it)?
-                            .parse()
-                            .map_err(|_| "bad --queue-depth value".to_string())?
-                    }
+                    "--max-sessions" => max_sessions = take_parsed(a, &mut it)?,
+                    "--workers" => workers = take_parsed(a, &mut it)?,
+                    "--queue-depth" => queue_depth = take_parsed(a, &mut it)?,
                     "--journal" => journal = Some(take_value(a, &mut it)?),
-                    "--watchdog-ms" => {
-                        watchdog_ms = Some(
-                            take_value(a, &mut it)?
-                                .parse()
-                                .map_err(|_| "bad --watchdog-ms value".to_string())?,
-                        )
-                    }
-                    "--max-events" => {
-                        max_events = Some(
-                            take_value(a, &mut it)?
-                                .parse()
-                                .map_err(|_| "bad --max-events value".to_string())?,
-                        )
-                    }
-                    "--retries" => {
-                        retries = take_value(a, &mut it)?
-                            .parse()
-                            .map_err(|_| "bad --retries value".to_string())?
-                    }
+                    "--watchdog-ms" => watchdog_ms = Some(take_parsed(a, &mut it)?),
+                    "--max-events" => max_events = Some(take_parsed(a, &mut it)?),
+                    "--retries" => retries = take_parsed(a, &mut it)?,
                     other => return Err(format!("unexpected argument {other:?}")),
                 }
             }
@@ -669,7 +576,7 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
             let mut jobs = 25usize;
             let mut n = 100usize;
             let mut procs = 16u32;
-            let mut scheduler = SchedChoice::CatBatch;
+            let mut scheduler = "catbatch".to_string();
             let mut seed = 42u64;
             let mut window = 32usize;
             let mut shutdown = false;
@@ -679,49 +586,15 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
                 match a {
                     "--bind" => bind = take_value(a, &mut it)?,
                     "--tcp" => tcp = Some(take_value(a, &mut it)?),
-                    "--read-timeout-ms" => {
-                        read_timeout_ms = take_value(a, &mut it)?
-                            .parse()
-                            .map_err(|_| "bad --read-timeout-ms value".to_string())?
-                    }
-                    "--max-attempts" => {
-                        max_attempts = take_value(a, &mut it)?
-                            .parse()
-                            .map_err(|_| "bad --max-attempts value".to_string())?
-                    }
-                    "--clients" => {
-                        clients = take_value(a, &mut it)?
-                            .parse()
-                            .map_err(|_| "bad --clients value".to_string())?
-                    }
-                    "--jobs" => {
-                        jobs = take_value(a, &mut it)?
-                            .parse()
-                            .map_err(|_| "bad --jobs value".to_string())?
-                    }
-                    "--n" => {
-                        n = take_value(a, &mut it)?
-                            .parse()
-                            .map_err(|_| "bad --n value".to_string())?
-                    }
-                    "--procs" => {
-                        procs = take_value(a, &mut it)?
-                            .parse()
-                            .map_err(|_| "bad --procs value".to_string())?
-                    }
-                    "--scheduler" => {
-                        scheduler = SchedChoice::parse(&take_value(a, &mut it)?)?;
-                    }
-                    "--seed" => {
-                        seed = take_value(a, &mut it)?
-                            .parse()
-                            .map_err(|_| "bad --seed value".to_string())?
-                    }
-                    "--window" => {
-                        window = take_value(a, &mut it)?
-                            .parse()
-                            .map_err(|_| "bad --window value".to_string())?
-                    }
+                    "--read-timeout-ms" => read_timeout_ms = take_parsed(a, &mut it)?,
+                    "--max-attempts" => max_attempts = take_parsed(a, &mut it)?,
+                    "--clients" => clients = take_parsed(a, &mut it)?,
+                    "--jobs" => jobs = take_parsed(a, &mut it)?,
+                    "--n" => n = take_parsed(a, &mut it)?,
+                    "--procs" => procs = take_parsed(a, &mut it)?,
+                    "--scheduler" => scheduler = take_scheduler(&mut it)?,
+                    "--seed" => seed = take_parsed(a, &mut it)?,
+                    "--window" => window = take_parsed(a, &mut it)?,
                     "--shutdown" => shutdown = true,
                     other => return Err(format!("unexpected argument {other:?}")),
                 }
@@ -763,11 +636,7 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
                     "--listen-tcp" => listen_tcp = Some(take_value(a, &mut it)?),
                     "--upstream" => upstream = take_value(a, &mut it)?,
                     "--upstream-tcp" => upstream_tcp = Some(take_value(a, &mut it)?),
-                    "--seed" => {
-                        seed = take_value(a, &mut it)?
-                            .parse()
-                            .map_err(|_| "bad --seed value".to_string())?
-                    }
+                    "--seed" => seed = take_parsed(a, &mut it)?,
                     "--plan" => plan = take_value(a, &mut it)?,
                     other => return Err(format!("unexpected argument {other:?}")),
                 }
@@ -817,7 +686,7 @@ mod tests {
             c,
             Command::Schedule {
                 file: "w.rigid".into(),
-                scheduler: SchedChoice::Backfill,
+                scheduler: "backfill".into(),
                 gantt: true,
                 trace: false,
                 svg: false,
@@ -1028,7 +897,7 @@ mod tests {
             } => {
                 assert_eq!(bind, "catbatch.sock");
                 assert_eq!((clients, jobs, n, procs), (4, 25, 100, 16));
-                assert_eq!(scheduler, SchedChoice::CatBatch);
+                assert_eq!(scheduler, "catbatch");
                 assert_eq!(seed, 42);
                 assert_eq!(window, 32);
                 assert!(!shutdown);
@@ -1047,7 +916,7 @@ mod tests {
                 clients, jobs, scheduler, window, shutdown, read_timeout_ms, max_attempts, ..
             } => {
                 assert_eq!((clients, jobs, window), (2, 50, 8));
-                assert_eq!(scheduler, SchedChoice::Backfill);
+                assert_eq!(scheduler, "backfill");
                 assert!(shutdown);
                 assert_eq!(read_timeout_ms, 500);
                 assert_eq!(max_attempts, 3);
@@ -1107,9 +976,49 @@ mod tests {
     }
 
     #[test]
+    fn every_numeric_flag_names_itself_when_its_value_is_not_a_number() {
+        let numeric: [(&str, &[&str]); 6] = [
+            ("generate", &["--n", "--procs", "--seed"]),
+            (
+                "faults",
+                &[
+                    "--seed", "--trials", "--fail", "--straggle", "--retries", "--watchdog-ms",
+                    "--max-events", "--jobs", "--chaos-exit-after",
+                ],
+            ),
+            ("bench", &["--jobs"]),
+            (
+                "serve",
+                &[
+                    "--max-sessions", "--workers", "--queue-depth", "--watchdog-ms",
+                    "--max-events", "--retries",
+                ],
+            ),
+            (
+                "loadgen",
+                &[
+                    "--read-timeout-ms", "--max-attempts", "--clients", "--jobs", "--n",
+                    "--procs", "--seed", "--window",
+                ],
+            ),
+            ("chaos-proxy", &["--seed"]),
+        ];
+        for (command, flags) in numeric {
+            for &flag in flags {
+                let err = parse_args(&[command, flag, "x1"]).expect_err(flag);
+                assert_eq!(err, format!("bad {flag} value"), "{command} {flag}");
+            }
+        }
+    }
+
+    #[test]
     fn rejects_unknown() {
         assert!(parse_args(&["frobnicate"]).is_err());
-        assert!(parse_args(&["schedule", "f", "--scheduler", "zzz"]).is_err());
+        assert_eq!(
+            parse_args(&["schedule", "f", "--scheduler", "zzz"]).unwrap_err(),
+            "unknown scheduler \"zzz\" \
+             (try: catbatch, backfill, catprio, strip, list-fifo, list-longest)"
+        );
         assert!(parse_args(&["generate", "--n", "10"]).is_err());
         assert!(parse_args(&["convert", "f"]).is_err());
     }

@@ -2,16 +2,14 @@
 //! text to print, so everything is unit-testable without touching the
 //! file system.
 
-use crate::args::{Command, SchedChoice, USAGE};
+use crate::args::{Command, USAGE};
 use catbatch::analysis::{attribute_table, decompose, render_attribute_table};
-use catbatch::{category_length, CatBatch, CatBatchBackfill, CatPrio};
-use rigid_baselines::{ListScheduler, Priority};
+use catbatch::{category_length, CatBatch};
 use rigid_dag::gen::TaskSampler;
 use rigid_dag::{analysis, format, gen, Instance, StaticSource};
 use rigid_sim::gantt::{render, GanttOptions};
 use rigid_sim::trace::Trace;
 use rigid_sim::{engine, metrics, OnlineScheduler};
-use rigid_strip::CatBatchStrip;
 
 /// Runs a parsed command against already-loaded file contents.
 /// `read_file` resolves a path to its text (injected for testability).
@@ -29,7 +27,7 @@ pub fn run_command(
             svg,
         } => {
             let inst = load(file, read_file)?;
-            schedule_cmd(&inst, *scheduler, *gantt, *trace, *svg)
+            schedule_cmd(&inst, scheduler, *gantt, *trace, *svg)
         }
         Command::Analyze { file } => {
             let inst = load(file, read_file)?;
@@ -64,7 +62,7 @@ pub fn run_command(
             let inst = load(file, read_file)?;
             faults_cmd(
                 &inst,
-                *scheduler,
+                scheduler,
                 *seed,
                 *trials,
                 *fail,
@@ -141,7 +139,7 @@ pub fn run_command(
             *jobs,
             *n,
             *procs,
-            *scheduler,
+            scheduler,
             *seed,
             *window,
             *shutdown,
@@ -194,25 +192,17 @@ fn load(path: &str, read_file: &dyn Fn(&str) -> Result<String, String>) -> Resul
     format::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn build_scheduler(choice: SchedChoice, procs: u32) -> Box<dyn OnlineScheduler> {
-    match choice {
-        SchedChoice::CatBatch => Box::new(CatBatch::new()),
-        SchedChoice::Backfill => Box::new(CatBatchBackfill::new()),
-        SchedChoice::CatPrio => Box::new(CatPrio::new()),
-        SchedChoice::Strip => Box::new(CatBatchStrip::new(procs)),
-        SchedChoice::ListFifo => Box::new(ListScheduler::new(Priority::Fifo)),
-        SchedChoice::ListLongest => Box::new(ListScheduler::new(Priority::LongestFirst)),
-    }
-}
+/// Why a scheduler name from a parsed [`Command`] always builds.
+const NAME_VALIDATED: &str = "parse_args accepts only names in rigid_serve::SCHEDULERS";
 
 fn schedule_cmd(
     inst: &Instance,
-    choice: SchedChoice,
+    scheduler: &str,
     gantt: bool,
     trace: bool,
     svg: bool,
 ) -> Result<String, String> {
-    let mut sched = build_scheduler(choice, inst.procs());
+    let mut sched = rigid_serve::scheduler_by_name(scheduler, inst.procs()).expect(NAME_VALIDATED);
     let name = sched.name();
     let result = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), sched.as_mut());
     let violations = result.schedule.validate(inst);
@@ -257,21 +247,21 @@ fn schedule_cmd(
     Ok(out)
 }
 
-/// Like [`build_scheduler`] but configured for fault campaigns: CatBatch
-/// gets the retry budget; the list schedulers retry inherently; the
-/// remaining heuristics are fault-oblivious and abandon on the first
-/// failure (which the report then shows).
-fn build_fault_scheduler(choice: SchedChoice, procs: u32, retries: u32) -> Box<dyn OnlineScheduler> {
-    match choice {
-        SchedChoice::CatBatch => Box::new(CatBatch::new().with_retry_budget(retries)),
-        other => build_scheduler(other, procs),
+/// The named scheduler, configured for fault campaigns: CatBatch gets
+/// the retry budget; the list schedulers retry inherently; the remaining
+/// heuristics are fault-oblivious and abandon on the first failure
+/// (which the report then shows).
+fn build_fault_scheduler(name: &str, procs: u32, retries: u32) -> Box<dyn OnlineScheduler> {
+    match name {
+        "catbatch" => Box::new(CatBatch::new().with_retry_budget(retries)),
+        other => rigid_serve::scheduler_by_name(other, procs).expect(NAME_VALIDATED),
     }
 }
 
 #[allow(clippy::too_many_arguments)]
 fn faults_cmd(
     inst: &Instance,
-    choice: SchedChoice,
+    scheduler: &str,
     seed: u64,
     trials: usize,
     fail: u32,
@@ -295,7 +285,7 @@ fn faults_cmd(
         dips: Vec::new(),
     };
     let seeds: Vec<u64> = (0..trials as u64).map(|i| seed + i).collect();
-    let name = build_fault_scheduler(choice, inst.procs(), retries).name();
+    let name = build_fault_scheduler(scheduler, inst.procs(), retries).name();
     let jobs = rigid_exec::resolve_jobs(jobs);
     let started = std::time::Instant::now();
 
@@ -314,7 +304,7 @@ fn faults_cmd(
             &seeds,
             rigid_sim::RunBudget::UNLIMITED,
             jobs,
-            || build_fault_scheduler(choice, inst.procs(), retries),
+            || build_fault_scheduler(scheduler, inst.procs(), retries),
         );
         report_throughput(trials, jobs, started.elapsed());
         return Ok(render_campaign(
@@ -324,6 +314,7 @@ fn faults_cmd(
 
     use rigid_supervise::{run_campaign, CampaignOptions, SupervisorPolicy};
     let procs = inst.procs();
+    let scheduler = scheduler.to_string();
     let options = CampaignOptions {
         policy: SupervisorPolicy {
             watchdog: watchdog_ms.map(std::time::Duration::from_millis),
@@ -358,7 +349,7 @@ fn faults_cmd(
         &seeds,
         &options,
         stop,
-        move || build_fault_scheduler(choice, procs, retries),
+        move || build_fault_scheduler(&scheduler, procs, retries),
     )
     .map_err(|e| e.to_string())?;
     report_throughput(outcome.executed, jobs, started.elapsed());
@@ -540,8 +531,9 @@ fn generate_cmd(family: &str, n: usize, procs: u32, seed: u64) -> Result<String,
 /// table; `--json` additionally writes the machine-readable document to
 /// `out` (the trajectory file `BENCH_engine.json` by default — the one
 /// place this CLI writes a file, since the trajectory is the product).
-/// With `--check`, the run fails if events/sec regressed more than 2x
-/// against the given baseline report for any shared scenario.
+/// With `--check`, the run fails if any shared scenario's engine
+/// counters differ from the given baseline report's, or its events/sec
+/// regressed more than 2x.
 #[allow(clippy::too_many_arguments)]
 fn bench_cmd(
     json: bool,
@@ -598,18 +590,6 @@ fn bench_cmd(
         ));
     }
     Ok(text)
-}
-
-/// The wire name the daemon knows a [`SchedChoice`] by.
-fn sched_wire_name(choice: SchedChoice) -> &'static str {
-    match choice {
-        SchedChoice::CatBatch => "catbatch",
-        SchedChoice::Backfill => "backfill",
-        SchedChoice::CatPrio => "catprio",
-        SchedChoice::Strip => "strip",
-        SchedChoice::ListFifo => "list-fifo",
-        SchedChoice::ListLongest => "list-longest",
-    }
 }
 
 fn resolve_bind(bind: &str, tcp: Option<&str>) -> rigid_serve::Bind {
@@ -671,7 +651,7 @@ fn loadgen_cmd(
     jobs: usize,
     n: usize,
     procs: u32,
-    scheduler: SchedChoice,
+    scheduler: &str,
     seed: u64,
     window: usize,
     shutdown: bool,
@@ -684,7 +664,7 @@ fn loadgen_cmd(
         jobs,
         n,
         procs,
-        scheduler: sched_wire_name(scheduler).to_string(),
+        scheduler: scheduler.to_string(),
         seed,
         window,
         shutdown,
@@ -705,7 +685,7 @@ fn loadgen_cmd(
         jobs,
         n,
         procs,
-        sched_wire_name(scheduler),
+        scheduler,
         report.ok,
         report.errors,
         report.retries,
@@ -806,14 +786,7 @@ mod tests {
 
     #[test]
     fn schedule_with_every_scheduler() {
-        for s in [
-            "catbatch",
-            "backfill",
-            "catprio",
-            "strip",
-            "list-fifo",
-            "list-longest",
-        ] {
+        for s in rigid_serve::SCHEDULERS {
             let cmd = parse_args(&["schedule", "sample.rigid", "--scheduler", s]).unwrap();
             let out = run_command(&cmd, &fs).unwrap();
             assert!(out.contains("makespan"), "{s}");

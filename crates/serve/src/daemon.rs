@@ -778,7 +778,13 @@ fn take_item(index: usize, shared: &Shared) -> Option<WorkItem> {
     None
 }
 
-fn scheduler_by_name(name: &str, procs: u32) -> Option<Box<dyn OnlineScheduler>> {
+/// The name of every scheduler [`scheduler_by_name`] builds.
+pub const SCHEDULERS: [&str; 6] =
+    ["catbatch", "backfill", "catprio", "strip", "list-fifo", "list-longest"];
+
+/// Builds the scheduler a job names, for a platform of `procs`
+/// processors; `None` for a name not in [`SCHEDULERS`].
+pub fn scheduler_by_name(name: &str, procs: u32) -> Option<Box<dyn OnlineScheduler>> {
     Some(match name {
         "catbatch" => Box::new(CatBatch::new()),
         "backfill" => Box::new(CatBatchBackfill::new()),

@@ -46,7 +46,7 @@ pub mod protocol;
 
 pub use chaos::{ChaosPlan, ChaosProxy, ChaosProxyHandle, ProxyReport};
 pub use client::{Client, ClientConfig, ClientError, ResilientClient, RetryPolicy};
-pub use daemon::{run_one, Daemon, ServeOptions, ServeReport};
+pub use daemon::{run_one, scheduler_by_name, Daemon, ServeOptions, ServeReport, SCHEDULERS};
 pub use journal::{aggregate, Aggregates, JobRecord, ServeJournal, SERVE_SCHEMA};
 pub use loadgen::{LoadgenOptions, LoadgenReport};
 pub use net::{Bind, Conn, Listener};

@@ -183,19 +183,42 @@ impl Schedule {
     /// the usage on the interval starting there, as `(instant, used)` pairs
     /// sorted by time. The final pair has usage 0.
     pub fn usage_profile(&self) -> Vec<(Time, u64)> {
-        let mut deltas: BTreeMap<Time, i64> = BTreeMap::new();
-        for p in self.placements() {
-            *deltas.entry(p.start).or_insert(0) += p.procs as i64;
-            *deltas.entry(p.finish).or_insert(0) -= p.procs as i64;
-        }
-        let mut out = Vec::with_capacity(deltas.len());
-        let mut cur: i64 = 0;
-        for (t, d) in deltas {
-            cur += d;
-            debug_assert!(cur >= 0);
-            out.push((t, cur as u64));
-        }
+        let mut out = Vec::new();
+        self.sweep_usage(|t, used| out.push((t, used)));
         out
+    }
+
+    /// Calls `emit(instant, used)` for every instant at which a placement
+    /// starts or finishes, in time order, with the usage on the interval
+    /// starting there. All deltas at one instant are summed before it is
+    /// emitted, so it yields one point even when they cancel out. Holds
+    /// two sorted vectors of references, not a map of every instant.
+    fn sweep_usage(&self, mut emit: impl FnMut(Time, u64)) {
+        let mut starts = Vec::with_capacity(self.placed);
+        starts.extend(self.placements());
+        let mut finishes = starts.clone();
+        starts.sort_unstable_by_key(|p| p.start);
+        finishes.sort_unstable_by_key(|p| p.finish);
+        let (mut i, mut j) = (0, 0);
+        let mut cur: i64 = 0;
+        // Every placement finishes after it starts, so the last instant
+        // is a finish and every start is consumed before it.
+        while let Some(f) = finishes.get(j) {
+            let t = match starts.get(i) {
+                Some(s) if s.start < f.finish => s.start,
+                _ => f.finish,
+            };
+            while let Some(s) = starts.get(i).filter(|s| s.start == t) {
+                cur += i64::from(s.procs);
+                i += 1;
+            }
+            while let Some(f) = finishes.get(j).filter(|f| f.finish == t) {
+                cur -= i64::from(f.procs);
+                j += 1;
+            }
+            debug_assert!(cur >= 0);
+            emit(t, cur as u64);
+        }
     }
 
     /// Validates the schedule against an instance. Returns all violations
@@ -227,11 +250,11 @@ impl Schedule {
             }
         }
 
-        for (t, used) in self.usage_profile() {
-            if used > self.procs as u64 {
-                violations.push(Violation::CapacityExceeded { at: t, used });
+        self.sweep_usage(|at, used| {
+            if used > u64::from(self.procs) {
+                violations.push(Violation::CapacityExceeded { at, used });
             }
-        }
+        });
 
         violations
     }

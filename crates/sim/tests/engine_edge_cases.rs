@@ -1,11 +1,13 @@
 //! Engine edge cases: one-processor platforms, instant storms, timed
 //! arrival interleavings, Gantt/assign/trace consistency.
 
+use rigid_dag::gen::{self, TaskSampler};
 use rigid_dag::source::TimedSource;
 use rigid_dag::{DagBuilder, ReleasedTask, StaticSource, TaskId, TaskSpec};
 use rigid_sim::gantt::{render, GanttOptions};
-use rigid_sim::{assign, engine, metrics, trace::Trace, OnlineScheduler};
+use rigid_sim::{assign, engine, metrics, trace::Trace, OnlineScheduler, Schedule};
 use rigid_time::Time;
+use std::collections::BTreeMap;
 
 /// Minimal greedy used throughout.
 struct Greedy(Vec<(TaskId, u32)>);
@@ -177,4 +179,40 @@ fn decisions_counter_reflects_consultations() {
     let r = engine::EngineConfig::new().run(&mut StaticSource::new(inst), &mut Greedy::new());
     // One decision at time zero (starts a) and one at its completion.
     assert_eq!(r.decisions, 2);
+}
+
+/// The usage profile as a map of every start and finish instant builds
+/// it: the reference for the sorted-merge sweep behind
+/// `Schedule::usage_profile` and `Schedule::validate`.
+fn usage_profile_by_map(schedule: &Schedule) -> Vec<(Time, u64)> {
+    let mut deltas: BTreeMap<Time, i64> = BTreeMap::new();
+    for p in schedule.placements() {
+        *deltas.entry(p.start).or_insert(0) += i64::from(p.procs);
+        *deltas.entry(p.finish).or_insert(0) -= i64::from(p.procs);
+    }
+    let mut cur = 0;
+    deltas
+        .into_iter()
+        .map(|(t, d)| {
+            cur += d;
+            (t, cur as u64)
+        })
+        .collect()
+}
+
+#[test]
+fn usage_profile_matches_map_construction() {
+    let mut instances = vec![("figure3", rigid_dag::paper::figure3())];
+    instances.extend(gen::family(7, 200, &TaskSampler::default_mix(), 16));
+    let mut zero_net = 0;
+    for (name, inst) in instances {
+        let r = engine::EngineConfig::new()
+            .run(&mut StaticSource::new(inst.clone()), &mut Greedy::new());
+        r.schedule.assert_valid(&inst);
+        let profile = r.schedule.usage_profile();
+        assert_eq!(profile, usage_profile_by_map(&r.schedule), "{name}");
+        // Instants where the finishes and starts cancel out stay points.
+        zero_net += profile.windows(2).filter(|w| w[0].1 == w[1].1).count();
+    }
+    assert!(zero_net > 0, "no instance has an instant whose deltas cancel");
 }

@@ -149,12 +149,18 @@ pub struct JournalWriter {
 }
 
 impl JournalWriter {
-    /// Creates (truncating) a fresh journal and writes and fsyncs its
-    /// header line.
+    /// Creates (truncating) a fresh journal, writes and fsyncs its header
+    /// line, then fsyncs the parent directory, so the file's directory
+    /// entry survives a crash too.
     pub fn create<H: Serialize>(path: &Path, header: &H) -> Result<Self, JournalError> {
         let file = File::create(path).map_err(|e| io_err(path, e))?;
         let mut w = JournalWriter { file, path: path.to_path_buf(), len: 0 };
         w.record(header)?;
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir).and_then(|d| d.sync_all()).map_err(|e| io_err(dir, e))?;
         Ok(w)
     }
 
@@ -658,6 +664,20 @@ pub(crate) mod tests {
         assert_eq!(j.shard, None, "a plain journal carries no shard info");
         assert_eq!(j.trials, (0..5).map(trial).collect::<Vec<_>>());
         assert!(!j.torn_tail);
+    }
+
+    #[test]
+    fn create_accepts_a_bare_file_name() {
+        // A bare name's parent is the empty path; the directory synced
+        // after creation must then be the working directory.
+        let tmp = TempFile(PathBuf::from(format!(
+            "catbatch-journal-test-{}-bare.jsonl",
+            std::process::id()
+        )));
+        assert_eq!(tmp.0.parent(), Some(Path::new("")));
+        let mut w = JournalWriter::create(&tmp.0, &header()).unwrap();
+        w.record(&trial(0)).unwrap();
+        assert_eq!(read_journal(&tmp.0).unwrap().trials, vec![trial(0)]);
     }
 
     fn shard_info() -> ShardInfo {

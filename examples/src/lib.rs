@@ -1,2 +1,2 @@
 //! Runnable examples for the `catbatch` workspace (see the `[[bin]]`
-//! targets: `quickstart`, `hpc_campaign`, `adversarial`, `strip_packing`).
+//! targets: `quickstart`, `hpc_campaign`, `adversarial`, `strip_demo`).

@@ -4,7 +4,7 @@
 //! structure and its competitive guarantee.
 //!
 //! ```text
-//! cargo run -p catbatch-examples --bin strip_packing
+//! cargo run -p catbatch-examples --bin strip_demo
 //! ```
 
 use rigid_dag::{analysis, paper, StaticSource};
