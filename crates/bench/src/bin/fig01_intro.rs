@@ -1,4 +1,4 @@
 //! Regenerates one paper artifact; see DESIGN.md experiment index.
-fn main() {
-    print!("{}", rigid_bench::experiments::figures::fig01_intro());
+fn main() -> std::process::ExitCode {
+    rigid_sim::write_stdout([rigid_bench::experiments::figures::fig01_intro()])
 }

@@ -39,7 +39,7 @@ fn ns_per_element<R>(len: usize, mut body: impl FnMut() -> R) -> f64 {
     }
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let rational: Vec<Time> = (1..=4096i64)
         .map(|i| Time::from_ratio(i * 7 + 3, (i % 64) + 1))
         .collect();
@@ -97,8 +97,8 @@ fn main() {
     for (name, ns) in rows {
         table.row(vec![name.to_string(), format!("{ns:.2}")]);
     }
-    print!(
+    rigid_sim::write_stdout([format!(
         "== Time ablation: exact Time vs f64 (DESIGN.md decision 1) ==\n{}",
         table.render()
-    );
+    )])
 }

@@ -149,15 +149,9 @@ fn campaign(args: &Args) -> Result<String, String> {
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match parse(&argv) {
-        Ok(None) => {
-            print!("{}", rigid_bench::experiments::hunt::worst_case_hunt());
-            ExitCode::SUCCESS
-        }
+        Ok(None) => rigid_sim::write_stdout([rigid_bench::experiments::hunt::worst_case_hunt()]),
         Ok(Some(args)) => match campaign(&args) {
-            Ok(report) => {
-                print!("{report}");
-                ExitCode::SUCCESS
-            }
+            Ok(report) => rigid_sim::write_stdout([report]),
             Err(e) => {
                 eprintln!("worst_case_hunt: {e}");
                 ExitCode::FAILURE

@@ -17,13 +17,12 @@ use rigid_baselines::Optimal;
 use rigid_dag::{Instance, StableHasher, StaticSource, TaskGraph, TaskId, TaskSpec};
 use rigid_faults::TrialStats;
 use rigid_sim::engine;
-use rigid_supervise::journal::{resume_or_create, CampaignJournal};
+use rigid_supervise::journal::resume_or_create;
 use rigid_supervise::{
-    JournalError, JournalHeader, ShardInfo, ShardSpec, Supervisor, SupervisorPolicy,
+    run_seeds, JournalError, JournalHeader, ShardInfo, ShardSpec, Supervisor, SupervisorPolicy,
     JOURNAL_SCHEMA,
 };
 use rigid_time::{Rational, Time};
-use std::collections::BTreeMap;
 use std::path::Path;
 
 /// A mutable instance genome: `n` tasks with quarter-grid lengths, procs
@@ -69,10 +68,6 @@ impl Genome {
         .makespan(&inst);
         cb.ratio(opt)
     }
-
-    fn ratio(&self) -> f64 {
-        self.ratio_exact().to_f64()
-    }
 }
 
 /// SplitMix64 for deterministic mutations.
@@ -110,39 +105,10 @@ fn mutate(g: &Genome, rng: &mut u64) -> Genome {
     out
 }
 
-/// Hill-climbs from a chain seed; returns the best genome and its ratio.
-fn climb(seed: u64, n: usize, p: u32, steps: usize) -> (Genome, f64) {
-    let mut rng = seed;
-    let mut cur = Genome {
-        len_q: vec![4; n],
-        procs: (0..n).map(|i| if i % 2 == 0 { 1 } else { p }).collect(),
-        edges: {
-            let mut e = vec![vec![false; n]; n];
-            for i in 0..n - 1 {
-                e[i][i + 1] = true;
-            }
-            e
-        },
-        p,
-    };
-    let mut best_ratio = cur.ratio();
-    for _ in 0..steps {
-        let cand = mutate(&cur, &mut rng);
-        let r = cand.ratio();
-        if r > best_ratio {
-            best_ratio = r;
-            cur = cand;
-        }
-    }
-    (cur, best_ratio)
-}
-
-/// [`climb`] with exact [`Rational`] comparisons — the campaign path.
-///
-/// The legacy f64 hill-climb stays untouched (the E21 report is
-/// byte-stable); this variant accepts a mutation only on an exact
-/// ratio increase, so a journaled hunt is reproducible to the bit on
-/// any host.
+/// Hill-climbs from a chain seed; returns the best genome and its exact
+/// ratio. A mutation is kept only on an exact ratio increase, so a climb
+/// — and a journaled hunt of them — is reproducible to the bit on any
+/// host.
 fn climb_exact(seed: u64, n: usize, p: u32, steps: usize) -> (Genome, Rational) {
     let mut rng = seed;
     let mut cur = Genome {
@@ -245,7 +211,7 @@ pub fn hunt_campaign(
     let shard_info: Option<ShardInfo> = shard.map(|spec| spec.info(&seeds));
 
     // Resume: replay journaled restarts, exactly like fault campaigns.
-    let (mut writer, mut replay) = match journal {
+    let mut journal = match journal {
         Some(path) => {
             let header = || {
                 Ok(JournalHeader {
@@ -255,7 +221,7 @@ pub fn hunt_campaign(
                     fault_free_makespan: Time::ONE,
                 })
             };
-            let CampaignJournal { writer, replay, .. } =
+            Some(
                 resume_or_create(path, resume, &fingerprint_hex, shard_info.as_ref(), header)
                     .map_err(|e| match e {
                         JournalError::FingerprintMismatch { journal, .. } => format!(
@@ -269,57 +235,25 @@ pub fn hunt_campaign(
                             path.display()
                         ),
                         other => other.to_string(),
-                    })?;
-            (Some(writer), replay)
+                    })?,
+            )
         }
-        None => (None, BTreeMap::new()),
+        None => None,
     };
 
-    let mut supervisor = Supervisor::new(SupervisorPolicy::default());
-    let mut trials = Vec::with_capacity(seeds.len());
-    let mut executed = 0;
-    let mut replayed = 0;
-    for &seed in &seeds {
-        if stop() {
-            break;
-        }
-        if let Some(t) = replay.get(&seed) {
-            trials.push(t.clone());
-            replayed += 1;
-            continue;
-        }
-        let cfg = *config;
-        let trial = match supervisor.run_trial(seed, fingerprint, move || {
+    let supervisor = Supervisor::new(SupervisorPolicy::default());
+    let cfg = *config;
+    let run = run_seeds(&seeds, journal.as_mut(), 1, stop, |seed| {
+        let ratio = supervisor.run_trial(seed, fingerprint, || {
             move || Time::from_rational(climb_exact(seed, cfg.n, cfg.procs, cfg.steps).1)
-        }) {
-            Ok(best) => TrialStats {
-                seed,
-                outcome: Ok(best),
-                failures: 0,
-                wasted_area: Time::ZERO,
-                inflated_area: Time::ZERO,
-                min_capacity: config.procs,
-            },
-            Err(err) => TrialStats {
-                seed,
-                outcome: Err(err),
-                failures: 0,
-                wasted_area: Time::ZERO,
-                inflated_area: Time::ZERO,
-                min_capacity: config.procs,
-            },
-        };
-        if let Some(w) = writer.as_mut() {
-            w.record(&trial).map_err(|e| e.to_string())?;
-        }
-        executed += 1;
-        replay.insert(seed, trial.clone());
-        trials.push(trial);
-    }
+        });
+        TrialStats::without_faults(seed, cfg.procs, ratio)
+    })
+    .map_err(|e| e.to_string())?;
 
     // With a baseline of 1, inflation *is* the exact competitive ratio.
-    let best = trials.iter().filter_map(|t| t.inflation(Time::ONE)).max();
-    Ok(HuntOutcome { trials, best, executed, replayed })
+    let best = run.trials.iter().filter_map(|t| t.inflation(Time::ONE)).max();
+    Ok(HuntOutcome { trials: run.trials, best, executed: run.executed, replayed: run.replayed })
 }
 
 /// E21 — the hunt report.
@@ -335,7 +269,7 @@ pub fn worst_case_hunt() -> String {
         let restarts = 8u64;
         let steps = 400;
         let best = (0..restarts)
-            .map(|r| climb(base_seed * 100 + r, n, p, steps).1)
+            .map(|r| climb_exact(base_seed * 100 + r, n, p, steps).1.to_f64())
             .fold(1.0f64, f64::max);
         let bound = (n as f64).log2() + 3.0;
         assert!(best <= bound + 1e-9, "hunt broke Theorem 1?!");
@@ -365,8 +299,8 @@ mod tests {
 
     #[test]
     fn genome_instantiates_validly() {
-        let (g, ratio) = climb(7, 5, 2, 10);
-        assert!(ratio >= 1.0 - 1e-9);
+        let (g, ratio) = climb_exact(7, 5, 2, 10);
+        assert!(ratio >= Rational::ONE);
         let inst = g.instantiate();
         assert_eq!(inst.len(), 5);
         assert!(inst.graph().is_acyclic());
@@ -374,9 +308,9 @@ mod tests {
 
     #[test]
     fn climbing_never_decreases() {
-        let base = climb(11, 5, 2, 0).1;
-        let better = climb(11, 5, 2, 40).1;
-        assert!(better >= base - 1e-12);
+        let base = climb_exact(11, 5, 2, 0).1;
+        let better = climb_exact(11, 5, 2, 40).1;
+        assert!(better >= base);
     }
 
     fn small_config() -> HuntConfig {
@@ -455,14 +389,5 @@ mod tests {
             .expect_err("different step budget must not resume");
         assert!(err.contains("scenario"), "{err}");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn exact_climb_agrees_with_f64_climb_on_the_report_jobs() {
-        // The two accept rules can only disagree on sub-epsilon ratio
-        // differences; on the actual E21 search space they coincide.
-        let (_, exact) = climb_exact(700, 5, 2, 40);
-        let (_, legacy) = climb(700, 5, 2, 40);
-        assert!((exact.to_f64() - legacy).abs() < 1e-12);
     }
 }

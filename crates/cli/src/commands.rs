@@ -275,7 +275,8 @@ fn faults_cmd(
     shard: Option<rigid_supervise::ShardSpec>,
     chaos_exit_after: Option<u64>,
 ) -> Result<String, String> {
-    use rigid_faults::{run_trials_jobs, FaultConfig};
+    use rigid_faults::FaultConfig;
+    use rigid_supervise::{run_campaign, CampaignOptions, SupervisorPolicy};
 
     let config = FaultConfig {
         fail_permille: fail,
@@ -289,30 +290,6 @@ fn faults_cmd(
     let jobs = rigid_exec::resolve_jobs(jobs);
     let started = std::time::Instant::now();
 
-    let supervised = journal.is_some()
-        || resume
-        || watchdog_ms.is_some()
-        || max_events.is_some()
-        || shard.is_some()
-        || chaos_exit_after.is_some();
-    if !supervised {
-        // Same campaign semantics as before supervision existed; the
-        // report is byte-for-byte identical for every worker count.
-        let stats = run_trials_jobs(
-            inst,
-            &config,
-            &seeds,
-            rigid_sim::RunBudget::UNLIMITED,
-            jobs,
-            || build_fault_scheduler(scheduler, inst.procs(), retries),
-        );
-        report_throughput(trials, jobs, started.elapsed());
-        return Ok(render_campaign(
-            name, inst, &config, seed, trials, fail, straggle, retries, &stats,
-        ));
-    }
-
-    use rigid_supervise::{run_campaign, CampaignOptions, SupervisorPolicy};
     let procs = inst.procs();
     let scheduler = scheduler.to_string();
     let options = CampaignOptions {
@@ -330,9 +307,9 @@ fn faults_cmd(
     rigid_supervise::interrupt::install();
     // The hidden chaos hook: after `chaos_exit_after` stop polls, die
     // the way `kill -9` would — no unwinding, no flush, no destructors.
-    // With `--jobs 1` the stop condition is polled once per seed, so the
-    // abort lands at a deterministic trial count (what the chaos tests
-    // and the CI chaos-smoke job rely on).
+    // The campaign polls once per seed, in seed order, at any `--jobs`,
+    // so the abort lands after exactly that many journaled records
+    // (what the chaos tests and the CI chaos-smoke job rely on).
     let chaos_polls = std::sync::atomic::AtomicU64::new(0);
     let token = rigid_supervise::interrupt::InterruptToken::current();
     let stop = move || {
@@ -983,8 +960,8 @@ mod tests {
 
     #[test]
     fn faults_supervised_path_matches_plain_report() {
-        // A never-tripping event budget routes through the supervised
-        // campaign; the per-seed results must match the plain path.
+        // Every campaign runs through the one supervised loop, so a
+        // never-tripping event budget changes nothing in the report.
         let plain = run_command(&parse_args(&["faults", "sample.rigid"]).unwrap(), &fs).unwrap();
         let supervised = run_command(
             &parse_args(&["faults", "sample.rigid", "--max-events", "18446744073709551615"])
@@ -992,11 +969,8 @@ mod tests {
             &fs,
         )
         .unwrap();
-        let seed_lines = |s: &str| -> Vec<String> {
-            s.lines().filter(|l| l.starts_with("seed ")).map(String::from).collect()
-        };
-        assert_eq!(seed_lines(&plain), seed_lines(&supervised));
-        assert!(supervised.contains("executed       : 5"), "{supervised}");
+        assert_eq!(plain, supervised);
+        assert!(plain.contains("executed       : 5\nreplayed       : 0\n"), "{plain}");
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The `catbatch` binary: thin I/O shell over `catbatch_cli`.
 
-use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -20,22 +19,7 @@ fn main() -> ExitCode {
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))
     };
     match catbatch_cli::run_command(&cmd, &read_file) {
-        Ok(out) => {
-            let mut stdout = io::stdout().lock();
-            match stdout
-                .write_all(out.as_bytes())
-                .and_then(|()| stdout.flush())
-            {
-                Ok(()) => ExitCode::SUCCESS,
-                // The reader closed the pipe (`catbatch … | head`): it
-                // has all the output it wants, which is not an error.
-                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: cannot write output: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
+        Ok(out) => rigid_sim::write_stdout([out]),
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

@@ -420,6 +420,18 @@ impl<T> ReorderBuffer<T> {
             }
         }
     }
+
+    /// Result `index` if it has arrived, without waiting.
+    pub fn try_index(&mut self, index: usize) -> Option<T> {
+        self.pending.extend(self.receiver.try_iter());
+        self.pending.remove(&index)
+    }
+
+    /// Buffers a result the consumer produced itself, as if a producer
+    /// had sent it.
+    pub fn insert(&mut self, index: usize, value: T) {
+        self.pending.insert(index, value);
+    }
 }
 
 #[cfg(test)]
@@ -632,7 +644,11 @@ mod tests {
         let mut buf = ReorderBuffer::new(rx);
         let poll = Duration::from_millis(10);
         assert_eq!(buf.recv_index(0, poll).unwrap(), "a");
-        assert_eq!(buf.recv_index(1, poll).unwrap(), "b");
+        assert_eq!(buf.try_index(1), Some("b"));
+        // A result the consumer produced itself is handed out like a sent one.
+        buf.insert(3, "d");
+        assert_eq!(buf.try_index(3), Some("d"));
+        assert_eq!(buf.try_index(4), None);
         assert_eq!(buf.recv_index(2, poll).unwrap(), "c");
     }
 

@@ -21,9 +21,12 @@
 //! All fault timing is exact rational arithmetic ([`rigid_time::Time`]);
 //! the only floating point anywhere is in reporting.
 //!
-//! [`campaign`] runs seeded fault campaigns against a scheduler and
-//! reports retries, wasted area, and makespan inflation relative to the
-//! fault-free run of the same instance.
+//! [`campaign`] runs one seeded trial of a scheduler under faults
+//! ([`run_trial`]) and aggregates many into retries, wasted area, and
+//! makespan inflation relative to the fault-free run of the same
+//! instance ([`CampaignStats`]). Campaigns themselves — the seed loop,
+//! its supervision, journal and worker threads — live in
+//! `rigid-supervise`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +35,6 @@ pub mod campaign;
 pub mod injector;
 
 pub use campaign::{
-    panic_message, run_trial, run_trial_reusing, run_trials, run_trials_budgeted,
-    run_trials_jobs, CampaignStats, TrialError, TrialStats,
+    panic_message, run_trial, run_trial_reusing, CampaignStats, TrialError, TrialStats,
 };
 pub use injector::{CapacityDip, FaultConfig, FaultInjector};

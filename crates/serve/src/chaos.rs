@@ -11,22 +11,31 @@
 //! ## Determinism contract
 //!
 //! Same contract as `rigid-faults`: every fault decision is drawn from
-//! a ChaCha8 stream seeded by `(seed, connection index, direction)`,
-//! and decisions are planned in **byte-offset space** — segment
-//! boundaries, the reset offset, and per-byte corruption draws depend
-//! only on how many bytes have flowed, never on how the OS chunked the
-//! reads. Replaying the same seed against the same byte streams
-//! injects byte-identical faults (only wall-clock pauses vary), which
-//! is what lets the e2e suite sweep plans and still assert exact
-//! outcomes.
+//! a ChaCha8 stream seeded by `(seed, key, direction)`, and decisions
+//! are planned in **byte-offset space** — segment boundaries, the reset
+//! offset, and per-byte corruption draws depend only on how many bytes
+//! have flowed, never on how the OS chunked the reads. The key is a
+//! digest of the connection's first client → daemon frame (a 4-byte
+//! big-endian length and its body, which carries the first request and
+//! its idempotency key) and of how many earlier connections opened with
+//! that same frame (a client's reconnects that resend the request they
+//! lost), so a connection's faults do not depend on the order in which
+//! concurrent clients are accepted. The proxy holds that frame back
+//! until it has arrived whole, then relays it through the channel from
+//! offset 0; the daemon sends nothing before it. Replaying the same
+//! seed against the same byte streams injects byte-identical faults
+//! (only wall-clock pauses vary), which is what lets the e2e suite
+//! sweep plans and still assert exact outcomes.
 
 use crate::net::{Bind, Conn, Listener};
+use crate::protocol::MAX_FRAME;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rigid_dag::StableHasher;
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 /// Relay buffer size; also the default segment length when no tearing
@@ -230,7 +239,8 @@ pub(crate) enum SegmentPlan {
 
 /// The fault schedule for one (connection, direction): all RNG draws
 /// happen here, in byte-offset order, so the schedule is a pure
-/// function of `(seed, conn, dir, bytes so far)`.
+/// function of `(seed, key, dir, bytes so far)`, where `key` is the
+/// connection's [`FrameKeys::key`].
 pub(crate) struct ChaosChannel {
     plan: ChaosPlan,
     rng: ChaCha8Rng,
@@ -246,12 +256,43 @@ pub(crate) struct ChaosChannel {
     corrupt_threshold: u32,
 }
 
-fn substream_seed(seed: u64, conn: u64, dir: Dir) -> u64 {
+fn substream_seed(seed: u64, key: u64, dir: Dir) -> u64 {
     let mut h = StableHasher::new();
     h.write_u64(seed);
-    h.write_u64(conn);
+    h.write_u64(key);
     h.write_u64(dir.tag());
     h.finish()
+}
+
+/// The keys of the proxy's connections, one per connection, from its
+/// first client → daemon frame.
+#[derive(Debug, Default)]
+pub(crate) struct FrameKeys {
+    /// How many connections have opened with each frame digest.
+    seen: Mutex<HashMap<u64, u64>>,
+}
+
+impl FrameKeys {
+    /// A digest of `frame` and of how many earlier connections opened
+    /// with the same frame. A client that reconnects and resends the
+    /// request it lost thus draws a fresh schedule instead of replaying
+    /// the one that just reset it, and no key depends on the
+    /// connections of clients that open with other frames.
+    pub(crate) fn key(&self, frame: &[u8]) -> u64 {
+        let mut h = StableHasher::new();
+        h.write_bytes(frame);
+        let digest = h.finish();
+        let repeat = {
+            let mut seen = self.seen.lock().expect("frame key table poisoned");
+            let count = seen.entry(digest).or_insert(0);
+            *count += 1;
+            *count - 1
+        };
+        let mut h = StableHasher::new();
+        h.write_u64(digest);
+        h.write_u64(repeat);
+        h.finish()
+    }
 }
 
 fn draw_range(rng: &mut ChaCha8Rng, (lo, hi): (u64, u64)) -> u64 {
@@ -259,8 +300,8 @@ fn draw_range(rng: &mut ChaCha8Rng, (lo, hi): (u64, u64)) -> u64 {
 }
 
 impl ChaosChannel {
-    pub(crate) fn new(plan: ChaosPlan, seed: u64, conn: u64, dir: Dir) -> ChaosChannel {
-        let mut rng = ChaCha8Rng::seed_from_u64(substream_seed(seed, conn, dir));
+    pub(crate) fn new(plan: ChaosPlan, seed: u64, key: u64, dir: Dir) -> ChaosChannel {
+        let mut rng = ChaCha8Rng::seed_from_u64(substream_seed(seed, key, dir));
         let reset_at = plan.reset_offset.map(|range| draw_range(&mut rng, range));
         let corrupt_threshold = plan
             .corrupt_ppm
@@ -443,12 +484,10 @@ fn accept_loop(
     counters: Arc<Counters>,
 ) {
     let mut relays: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let mut conn_index: u64 = 0;
+    let keys = Arc::new(FrameKeys::default());
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok(Some(client)) => {
-                let index = conn_index;
-                conn_index += 1;
                 counters.connections.fetch_add(1, Ordering::SeqCst);
                 let server = match Conn::connect(&upstream) {
                     Ok(s) => s,
@@ -458,7 +497,7 @@ fn accept_loop(
                         continue;
                     }
                 };
-                match spawn_relay_pair(client, server, seed, index, plan, &stop, &counters) {
+                match spawn_relay_pair(client, server, seed, plan, &keys, &stop, &counters) {
                     Ok(pair) => relays.extend(pair),
                     Err(_) => {
                         counters.upstream_failures.fetch_add(1, Ordering::SeqCst);
@@ -476,21 +515,25 @@ fn accept_loop(
     }
 }
 
+/// Spawns both relays of one connection. The up relay reads the first
+/// frame, keys both directions' channels by it and hands the key down;
+/// the down relay reads nothing from the daemon until it has the key.
 fn spawn_relay_pair(
     client: Conn,
     server: Conn,
     seed: u64,
-    index: u64,
     plan: ChaosPlan,
+    keys: &Arc<FrameKeys>,
     stop: &Arc<AtomicBool>,
     counters: &Arc<Counters>,
 ) -> std::io::Result<[std::thread::JoinHandle<()>; 2]> {
     let client_rd = client.try_clone()?;
     let server_rd = server.try_clone()?;
-    let up = RelayEnd {
+    client_rd.set_read_timeout(Some(POLL))?;
+    server_rd.set_read_timeout(Some(POLL))?;
+    let mut up = RelayEnd {
         from: client_rd,
         to: server,
-        channel: ChaosChannel::new(plan, seed, index, Dir::ClientToServer),
         dir: Dir::ClientToServer,
         stop: Arc::clone(stop),
         counters: Arc::clone(counters),
@@ -498,70 +541,129 @@ fn spawn_relay_pair(
     let down = RelayEnd {
         from: server_rd,
         to: client,
-        channel: ChaosChannel::new(plan, seed, index, Dir::ServerToClient),
         dir: Dir::ServerToClient,
         stop: Arc::clone(stop),
         counters: Arc::clone(counters),
     };
-    let t_up = std::thread::Builder::new()
-        .name(format!("chaos-up-{index}"))
-        .spawn(move || relay(up))?;
-    let t_down = std::thread::Builder::new()
-        .name(format!("chaos-down-{index}"))
-        .spawn(move || relay(down))?;
+    let (key_tx, key_rx) = mpsc::channel();
+    let keys = Arc::clone(keys);
+    let t_up = std::thread::Builder::new().name("chaos-up".into()).spawn(move || {
+        let mut first = Vec::new();
+        match read_first_frame(&mut up.from, &mut first, &up.stop) {
+            Some(frame) => {
+                let key = keys.key(&first[..frame]);
+                // A down relay that is already gone needs no key.
+                let _ = key_tx.send(key);
+                up.run(ChaosChannel::new(plan, seed, key, Dir::ClientToServer), &mut first);
+            }
+            None => up.shutdown(),
+        }
+    })?;
+    let t_down = std::thread::Builder::new().name("chaos-down".into()).spawn(move || {
+        match wait_for_key(&key_rx, &down.stop) {
+            Some(key) => {
+                down.run(ChaosChannel::new(plan, seed, key, Dir::ServerToClient), &mut [])
+            }
+            None => down.shutdown(),
+        }
+    })?;
     Ok([t_up, t_down])
+}
+
+/// Reads until `buf` holds the connection's first client → daemon frame
+/// and returns that frame's length in bytes: the 4-byte big-endian
+/// length prefix and the body it declares, or the prefix alone when it
+/// declares more than [`MAX_FRAME`] (the daemon drains such a body
+/// unread, and the proxy does not buffer it). A client that closes
+/// mid-frame is keyed by what it sent. `None` if it sent nothing, a
+/// read failed, or the proxy is stopping.
+fn read_first_frame(from: &mut Conn, buf: &mut Vec<u8>, stop: &AtomicBool) -> Option<usize> {
+    let mut chunk = [0u8; RELAY_BUF];
+    loop {
+        if let Some(prefix) = buf.first_chunk::<4>() {
+            let len = u32::from_be_bytes(*prefix);
+            let frame = if len > MAX_FRAME { 4 } else { 4 + len as usize };
+            if buf.len() >= frame {
+                return Some(frame);
+            }
+        }
+        if stop.load(Ordering::SeqCst) {
+            return None;
+        }
+        match from.read(&mut chunk) {
+            Ok(0) => return (!buf.is_empty()).then_some(buf.len()),
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if is_poll_timeout(&e) => {}
+            Err(_) => return None,
+        }
+    }
+}
+
+/// Waits for the up relay's key. `None` if it ended without one or the
+/// proxy is stopping.
+fn wait_for_key(rx: &mpsc::Receiver<u64>, stop: &AtomicBool) -> Option<u64> {
+    loop {
+        match rx.recv_timeout(POLL) {
+            Ok(key) => return Some(key),
+            Err(mpsc::RecvTimeoutError::Timeout) if !stop.load(Ordering::SeqCst) => {}
+            Err(_) => return None,
+        }
+    }
+}
+
+fn is_poll_timeout(e: &std::io::Error) -> bool {
+    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
 }
 
 struct RelayEnd {
     from: Conn,
     to: Conn,
-    channel: ChaosChannel,
     dir: Dir,
     stop: Arc<AtomicBool>,
     counters: Arc<Counters>,
 }
 
-fn relay(mut end: RelayEnd) {
-    if end.from.set_read_timeout(Some(POLL)).is_err() {
-        return;
-    }
-    let mut buf = [0u8; RELAY_BUF];
-    'outer: loop {
-        if end.stop.load(Ordering::SeqCst) {
-            break;
+impl RelayEnd {
+    /// Relays `pending`, then everything `from` sends, through
+    /// `channel` until a planned reset, EOF, an error or the stop flag.
+    fn run(mut self, mut channel: ChaosChannel, pending: &mut [u8]) {
+        let mut buf = [0u8; RELAY_BUF];
+        let mut live = self.emit(&mut channel, pending);
+        while live && !self.stop.load(Ordering::SeqCst) {
+            live = match self.from.read(&mut buf) {
+                Ok(0) => false, // peer closed: propagate by tearing down
+                Ok(n) => self.emit(&mut channel, &mut buf[..n]),
+                Err(e) => is_poll_timeout(&e),
+            };
         }
-        let n = match end.from.read(&mut buf) {
-            Ok(0) => break, // peer closed: propagate by tearing down
-            Ok(n) => n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => break,
-        };
+        self.shutdown();
+    }
+
+    /// Writes `bytes` on in the segments `channel` plans, corrupted and
+    /// paced as planned. `false` once the connection is over: a planned
+    /// reset fired or a write failed.
+    fn emit(&mut self, channel: &mut ChaosChannel, bytes: &mut [u8]) -> bool {
         let mut emitted = 0;
-        while emitted < n {
-            match end.channel.plan_segment(n - emitted) {
+        while emitted < bytes.len() {
+            match channel.plan_segment(bytes.len() - emitted) {
                 SegmentPlan::Reset => {
-                    end.counters.resets.fetch_add(1, Ordering::SeqCst);
-                    break 'outer;
+                    self.counters.resets.fetch_add(1, Ordering::SeqCst);
+                    return false;
                 }
                 SegmentPlan::Emit { len, pause_ms } => {
-                    let seg = &mut buf[emitted..emitted + len];
-                    let flipped = end.channel.corrupt(seg);
+                    let seg = &mut bytes[emitted..emitted + len];
+                    let flipped = channel.corrupt(seg);
                     if flipped > 0 {
-                        end.counters.corrupted.fetch_add(flipped, Ordering::SeqCst);
+                        self.counters.corrupted.fetch_add(flipped, Ordering::SeqCst);
                     }
-                    if end.to.write_all(seg).and_then(|_| end.to.flush()).is_err() {
-                        break 'outer;
+                    if self.to.write_all(seg).and_then(|_| self.to.flush()).is_err() {
+                        return false;
                     }
-                    let bytes = match end.dir {
-                        Dir::ClientToServer => &end.counters.bytes_up,
-                        Dir::ServerToClient => &end.counters.bytes_down,
+                    let relayed = match self.dir {
+                        Dir::ClientToServer => &self.counters.bytes_up,
+                        Dir::ServerToClient => &self.counters.bytes_down,
                     };
-                    bytes.fetch_add(len as u64, Ordering::SeqCst);
+                    relayed.fetch_add(len as u64, Ordering::SeqCst);
                     emitted += len;
                     if pause_ms > 0 {
                         std::thread::sleep(Duration::from_millis(pause_ms));
@@ -569,11 +671,15 @@ fn relay(mut end: RelayEnd) {
                 }
             }
         }
+        true
     }
-    // Whatever ended this direction — reset, EOF, error, stop — tear
-    // both sockets down so the opposite relay and both peers see it.
-    end.from.shutdown();
-    end.to.shutdown();
+
+    /// Whatever ended this direction — reset, EOF, error, stop — tear
+    /// both sockets down so the opposite relay and both peers see it.
+    fn shutdown(&self) {
+        self.from.shutdown();
+        self.to.shutdown();
+    }
 }
 
 #[cfg(test)]
@@ -670,17 +776,80 @@ mod tests {
         assert!(flipped > 0, "corrupt=20000 over 8k+ bytes should flip something");
     }
 
-    /// Different (conn, dir) substreams draw different schedules from
+    /// Different (key, dir) substreams draw different schedules from
     /// the same seed; the same triple replays identically.
     #[test]
     fn substreams_are_decorrelated_and_replayable() {
         let plan = ChaosPlan::parse("reset=0..1000000").expect("parse");
-        let reset_of = |conn, dir| {
-            ChaosChannel::new(plan, 7, conn, dir).reset_at.expect("planned")
+        let reset_of = |key, dir| {
+            ChaosChannel::new(plan, 7, key, dir).reset_at.expect("planned")
         };
         assert_eq!(reset_of(0, Dir::ClientToServer), reset_of(0, Dir::ClientToServer));
         assert_ne!(reset_of(0, Dir::ClientToServer), reset_of(1, Dir::ClientToServer));
         assert_ne!(reset_of(0, Dir::ClientToServer), reset_of(0, Dir::ServerToClient));
+    }
+
+    /// A connection's faults follow its first frame, not the order the
+    /// proxy accepts it in: two clients with fixed first frames are reset
+    /// at the same byte offsets whichever of them connects first, and a
+    /// connection that repeats a frame draws a fresh offset.
+    #[test]
+    fn fault_schedules_follow_the_first_frame_not_accept_order() {
+        use std::os::unix::net::{UnixListener, UnixStream};
+
+        let path = |name: &str| {
+            std::env::temp_dir()
+                .join(format!("catbatch-chaos-key-{}-{name}.sock", std::process::id()))
+        };
+        let (upstream_path, proxy_path) = (path("upstream"), path("proxy"));
+        let _ = std::fs::remove_file(&upstream_path);
+        let upstream = UnixListener::bind(&upstream_path).expect("bind upstream");
+        let plan = ChaosPlan::parse("reset=1000..60000").expect("parse");
+
+        // One connection: a first frame with body `first`, then 64 KiB
+        // more, past every offset the plan can draw. Returns how many
+        // bytes reached the upstream end before the reset.
+        let sent = |first: &[u8]| -> usize {
+            let mut stream = (first.len() as u32).to_be_bytes().to_vec();
+            stream.extend_from_slice(first);
+            stream.resize(stream.len() + 65_536, 0xab);
+            let mut client = UnixStream::connect(&proxy_path).expect("connect");
+            let (mut server, _) = upstream.accept().expect("the proxy dials upstream");
+            std::thread::scope(|scope| {
+                let received = scope.spawn(move || {
+                    let mut got = Vec::new();
+                    let _ = server.read_to_end(&mut got);
+                    got
+                });
+                // The reset fails the rest of the write; that is the point.
+                let _ = client.write_all(&stream);
+                drop(client);
+                let got = received.join().expect("upstream reader");
+                assert_eq!(got[..], stream[..got.len()], "relayed bytes are a prefix");
+                assert!(got.len() < stream.len(), "the planned reset fired");
+                got.len()
+            })
+        };
+        // A fresh proxy with the same seed per order of connections.
+        let offsets = |order: [&[u8]; 3]| -> [usize; 3] {
+            let proxy = ChaosProxy::spawn(
+                &Bind::Unix(proxy_path.clone()),
+                Bind::Unix(upstream_path.clone()),
+                9,
+                plan,
+            )
+            .expect("proxy spawns");
+            let offsets = order.map(sent);
+            assert_eq!(proxy.stop().resets, 3);
+            offsets
+        };
+        let (a, b) = (b"first job of client a".as_slice(), b"client b's first job".as_slice());
+        let [a1, b1, a2] = offsets([a, b, a]);
+        let [b1_, a1_, a2_] = offsets([b, a, a]);
+        assert_eq!([a1, b1, a2], [a1_, b1_, a2_], "offsets follow the frame");
+        assert_ne!(a1, b1, "distinct frames draw distinct offsets");
+        assert_ne!(a1, a2, "a repeated frame draws a fresh offset");
+        let _ = std::fs::remove_file(&upstream_path);
     }
 
     /// A transparent plan emits everything in one pass and never

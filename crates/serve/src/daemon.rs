@@ -12,11 +12,12 @@
 //! interleave on the worker pool.
 //!
 //! **Workers** (one shard queue each) pop their own queue first and
-//! steal from the others when idle. Each worker owns a
+//! steal from the others when idle. All workers share one
 //! [`Supervisor`]: jobs run under `catch_unwind`, a pooled watchdog,
 //! bounded retries, and quarantine, so a panicking or hanging
-//! scheduler costs one job, never the daemon. Engine scratch is
-//! recycled through a shared [`ScratchPool`].
+//! scheduler costs one job, never the daemon, and a job quarantined on
+//! one worker is refused on every other. Engine scratch is recycled
+//! through a shared [`ScratchPool`].
 //!
 //! ## Backpressure
 //!
@@ -218,6 +219,9 @@ struct Shared {
     /// journal grows with jobs); keys are client-scoped hashes, so the
     /// table stays proportional to actual submissions.
     dedup: Mutex<HashMap<u64, IdemState>>,
+    /// The one supervisor, and so the one quarantine, of the backlog
+    /// replay and every worker.
+    supervisor: Supervisor,
     options: ServeOptions,
     journal: Mutex<Option<JournalTx>>,
 }
@@ -287,6 +291,8 @@ impl Daemon {
         let mut resumed_completed = 0u64;
         let mut resumed_failed = 0u64;
         let mut dedup: HashMap<u64, IdemState> = HashMap::new();
+        let supervisor = supervisor(&options);
+        let scratch = Arc::new(ScratchPool::new());
         let journal = match &options.journal {
             Some(path) => {
                 let (journal, state) = ServeJournal::open(path)?;
@@ -302,11 +308,9 @@ impl Daemon {
                 }
                 if !state.pending.is_empty() {
                     let tx = journal.sender();
-                    let mut sup = supervisor(&options);
-                    let pool = Arc::new(ScratchPool::new());
                     for spec in &state.pending {
                         jobs_resumed += 1;
-                        let response = run_job(spec, &mut sup, &pool, Some(&tx), &options);
+                        let response = run_job(spec, &supervisor, &scratch, Some(&tx), &options);
                         match &response {
                             Response::Result(_) => resumed_completed += 1,
                             _ => resumed_failed += 1,
@@ -340,11 +344,11 @@ impl Daemon {
             deadline_exceeded: AtomicU64::new(0),
             sessions_active: AtomicUsize::new(0),
             dedup: Mutex::new(dedup),
+            supervisor,
             journal: Mutex::new(journal.as_ref().map(ServeJournal::sender)),
             options,
         });
 
-        let scratch = Arc::new(ScratchPool::new());
         let workers: Vec<JoinHandle<()>> = (0..shared.options.workers)
             .map(|w| {
                 let shared = Arc::clone(&shared);
@@ -714,7 +718,6 @@ fn session_writer(
 /// briefly when everything is empty. On shutdown, drains every queue
 /// with retryable `shutting-down` errors before exiting.
 fn worker_loop(index: usize, shared: &Arc<Shared>, scratch: &Arc<ScratchPool<EngineScratch>>) {
-    let mut sup = supervisor(&shared.options);
     loop {
         let item = take_item(index, shared);
         match item {
@@ -723,7 +726,13 @@ fn worker_loop(index: usize, shared: &Arc<Shared>, scratch: &Arc<ScratchPool<Eng
                 let response = if shared.stopping() {
                     Response::Error(shutdown_error(item.spec.id))
                 } else {
-                    run_job(&item.spec, &mut sup, scratch, journal.as_ref(), &shared.options)
+                    run_job(
+                        &item.spec,
+                        &shared.supervisor,
+                        scratch,
+                        journal.as_ref(),
+                        &shared.options,
+                    )
                 };
                 match &response {
                     Response::Result(_) => {
@@ -814,7 +823,7 @@ fn text_fingerprint(text: &str) -> u64 {
 /// its terminal record (acceptance was journaled at enqueue).
 fn run_job(
     spec: &JobSpec,
-    sup: &mut Supervisor,
+    sup: &Supervisor,
     scratch: &Arc<ScratchPool<EngineScratch>>,
     journal: Option<&JournalTx>,
     options: &ServeOptions,
@@ -1017,7 +1026,5 @@ fn summarize(spec: &JobSpec, inst: &Instance, run: &RunResult) -> JobResult {
 /// path the daemon journal replays — exposed for tests and the bench
 /// harness.
 pub fn run_one(spec: &JobSpec, options: &ServeOptions) -> Response {
-    let mut sup = supervisor(options);
-    let pool = Arc::new(ScratchPool::new());
-    run_job(spec, &mut sup, &pool, None, options)
+    run_job(spec, &supervisor(options), &Arc::new(ScratchPool::new()), None, options)
 }

@@ -9,8 +9,9 @@
 //!   [`kind`](protocol::kind) strings, and frame helpers that survive
 //!   oversized and malformed input without dropping the session.
 //! * [`daemon`] — sessions (reader + in-order writer per connection),
-//!   shard queues with work stealing, per-worker [`Supervisor`]s
-//!   (`catch_unwind`, pooled watchdogs, retries, quarantine), and
+//!   shard queues with work stealing, one [`Supervisor`] shared by
+//!   every worker (`catch_unwind`, pooled watchdogs, retries, one
+//!   quarantine), and
 //!   per-session backpressure with typed `overloaded` errors.
 //! * [`journal`] — group-committed crash journal
 //!   (`catbatch-serve-journal/v1`): accepted jobs are recorded before

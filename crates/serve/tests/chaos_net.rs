@@ -151,10 +151,13 @@ fn swept_fault_plans_preserve_exactly_once_and_aggregates() {
 
     // The sweep: each named plan × seed is one deterministic adversary.
     // Reset offsets are planned in byte-offset space and sized to the
-    // workload (a client sends ~8-10 KiB per connection), low enough
-    // that connections actually die mid-run yet far enough that they
-    // make progress between deaths; delays and trickle stress the
-    // read-timeout path; torn writes stress frame reassembly.
+    // workload (unbroken, the two clients send 5,660 and 8,084 bytes
+    // upstream), low enough that connections actually die mid-run yet
+    // far enough that they make progress between deaths; delays and
+    // trickle stress the read-timeout path; torn writes stress frame
+    // reassembly. A connection's faults are keyed by its first frame,
+    // so which plans fire does not depend on which client connects
+    // first.
     let sweep: &[(&str, &str, u64)] = &[
         ("delay", "delay=1..5ms", 1),
         ("tear", "tear=7", 2),

@@ -17,6 +17,7 @@ use rigid_sim::gantt::{render, GanttOptions};
 use rigid_sim::EngineConfig;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn sock(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("catbatch-serve-{}-{name}.sock", std::process::id()))
@@ -386,4 +387,35 @@ fn gantt_labels_name_the_placed_tasks() {
         Response::Result(result) => assert_eq!(result.gantt, expected),
         other => panic!("expected a result, got {other:?}"),
     }
+}
+
+/// One quarantine for the whole daemon: a job that times out on every
+/// attempt is refused when it comes back under a new id, whichever
+/// worker takes the resubmission.
+#[test]
+fn a_job_quarantined_on_one_worker_is_refused_on_every_worker() {
+    let opts = ServeOptions {
+        workers: 2,
+        watchdog: Some(Duration::from_millis(1)),
+        ..options("quarantine")
+    };
+    let daemon = Daemon::start(opts.clone()).expect("daemon starts");
+    let mut client = Client::connect(&opts.bind).expect("connect");
+    // Thousands of tasks: far beyond a 1 ms watchdog on every attempt.
+    let heavy = instance_text(3, 200, 40);
+    let mut answer = |id: u64| match client.call(&Request::Submit(spec(id, "catbatch", &heavy))) {
+        Ok(Response::Error(err)) => {
+            assert_eq!(err.id, id);
+            err.kind
+        }
+        other => panic!("job {id}: expected a typed error, got {other:?}"),
+    };
+    assert_eq!(answer(1), kind::TIMED_OUT);
+    // Jobs are routed to shard `id % workers`, so the resubmissions land
+    // in both workers' queues.
+    for id in [2, 3] {
+        assert_eq!(answer(id), kind::QUARANTINED, "resubmission {id}");
+    }
+    daemon.trigger_shutdown();
+    daemon.wait();
 }

@@ -56,6 +56,7 @@ pub mod fault;
 pub mod gantt;
 pub mod metrics;
 pub mod offline;
+pub mod output;
 pub mod reference;
 pub mod schedule;
 pub mod svg;
@@ -66,5 +67,6 @@ pub use engine::{EngineConfig, EngineScratch, EngineStats, RunBudget, RunResult}
 pub use error::{BudgetKind, RunError, SchedulerViolation, SourceViolation};
 pub use fault::{Attempt, AttemptOutcome, AttemptRecord, FaultLog, FaultModel, NoFaults};
 pub use offline::OfflineScheduler;
+pub use output::write_stdout;
 pub use schedule::{Placement, Schedule, Violation};
 pub use scheduler::{FailureResponse, OnlineScheduler};

@@ -2,13 +2,14 @@
 //! checkpoints + graceful interrupt points.
 
 use crate::journal::{
-    resume_or_create, GroupCommit, JournalError, JournalHeader, ShardInfo, JOURNAL_SCHEMA,
+    resume_or_create, CampaignJournal, GroupCommit, JournalError, JournalHeader, ShardInfo,
+    JOURNAL_SCHEMA,
 };
 use crate::shard::ShardSpec;
-use crate::supervisor::{run_supervised, SharedQuarantine, Supervisor, SupervisorPolicy};
+use crate::supervisor::{Supervisor, SupervisorPolicy};
 use rigid_dag::{instance_fingerprint, Instance, StableHasher, StaticSource};
 use rigid_exec::{ReorderBuffer, ReorderWait, ScratchPool};
-use rigid_faults::{run_trial, run_trial_reusing, CampaignStats, FaultConfig, TrialError, TrialStats};
+use rigid_faults::{run_trial_reusing, CampaignStats, FaultConfig, TrialStats};
 use rigid_sim::{EngineConfig, EngineScratch, OnlineScheduler, RunBudget, RunError};
 use rigid_time::Time;
 use std::collections::BTreeMap;
@@ -32,12 +33,12 @@ pub struct CampaignOptions {
     /// With a journal: replay existing records instead of truncating.
     /// A missing journal file resumes into a fresh one.
     pub resume: bool,
-    /// Worker threads for trial execution. `0` and `1` both run the
-    /// serial in-line loop (with its per-trial fsync durability); `>= 2`
-    /// fans trials out over a work-stealing pool whose results are
-    /// reordered into canonical seed order and journaled with group
-    /// commit — journals and aggregates stay **byte-identical** to
-    /// serial execution for any value.
+    /// Worker threads for trial execution. `0` and `1` both run each
+    /// trial inline (with per-trial fsync durability); `>= 2` fans
+    /// trials out over a work-stealing pool whose results are journaled
+    /// in canonical seed order with group commit — journals and
+    /// aggregates stay **byte-identical** to serial execution for any
+    /// value (see [`run_seeds`]).
     pub jobs: usize,
     /// Run only shard `i/N` of the deduplicated seed space (see
     /// [`ShardSpec::plan`]). The journal (required for sharding to be
@@ -131,35 +132,187 @@ pub fn campaign_fingerprint(
     h.finish()
 }
 
-/// How often the parallel coordinator wakes while waiting for an
-/// out-of-order result, to honor the group-commit deadline.
+/// How often a parallel [`run_seeds`] wakes while it waits for a
+/// worker's result, to honor the group-commit deadline.
 const COORDINATOR_POLL: Duration = Duration::from_millis(5);
 
-/// The `TrialStats` recorded when the supervision envelope — not the
-/// engine — rejected the trial (panicked, timed out, quarantined).
-fn enveloped_failure(instance: &Instance, seed: u64, err: TrialError) -> TrialStats {
-    TrialStats {
-        seed,
-        outcome: Err(err),
-        failures: 0,
-        wasted_area: Time::ZERO,
-        inflated_area: Time::ZERO,
-        min_capacity: instance.procs(),
+/// What one [`run_seeds`] pass did.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SeedRun {
+    /// One record per seed run or replayed, in seed order.
+    pub trials: Vec<TrialStats>,
+    /// Trials run by this pass.
+    pub executed: usize,
+    /// Trials replayed from the journal or from an earlier occurrence of
+    /// the same seed.
+    pub replayed: usize,
+    /// Whether `stop` ended the pass early; `trials` then covers only
+    /// the seeds before that point.
+    pub interrupted: bool,
+}
+
+/// The one seed loop behind fault campaigns ([`run_campaign`]) and E21's
+/// worst-case hunt.
+///
+/// Walks `seeds` in order and, per seed: polls `stop` (once, here
+/// only — a stop ends the pass with every journaled record durable);
+/// replays the seed's record if the journal holds one or the seed came
+/// up earlier in the list; otherwise takes `trial(seed)` and appends it
+/// to the journal. Callers run `trial` under one [`Supervisor`], so a
+/// trial never takes the pass down.
+///
+/// With `jobs <= 1` each trial runs inline and each record is fsynced
+/// before the next is written. With `jobs >= 2`, `jobs - 1` workers and
+/// this thread claim the seeds still missing in seed order from a
+/// shared cursor: whenever the result this thread needs next has not
+/// arrived, it runs the next unclaimed seed itself instead of waiting.
+/// It journals every result in seed order through [`GroupCommit`].
+/// Records, journal bytes and the abort point of a `stop` that never
+/// returns are the same for every `jobs`: after `k` polls the journal
+/// holds exactly the first `k` fresh records.
+pub fn run_seeds(
+    seeds: &[u64],
+    journal: Option<&mut CampaignJournal>,
+    jobs: usize,
+    stop: impl Fn() -> bool,
+    trial: impl Fn(u64) -> TrialStats + Sync,
+) -> Result<SeedRun, JournalError> {
+    let (writer, replay) = match journal {
+        Some(j) => (Some(&mut j.writer), std::mem::take(&mut j.replay)),
+        None => (None, BTreeMap::new()),
+    };
+    if jobs <= 1 {
+        let mut writer = writer;
+        return walk(seeds, replay, stop, |seed| {
+            let t = trial(seed);
+            writer.as_mut().map_or(Ok(()), |w| w.record(&t))?;
+            Ok(Some(t))
+        });
     }
+
+    // The seeds to claim: the first occurrence of each seed the journal
+    // does not hold. Replays and duplicates stay with `walk`.
+    let mut index: BTreeMap<u64, usize> = BTreeMap::new();
+    let mut fresh: Vec<u64> = Vec::new();
+    for &seed in seeds {
+        if !replay.contains_key(&seed) && !index.contains_key(&seed) {
+            index.insert(seed, fresh.len());
+            fresh.push(seed);
+        }
+    }
+    let cursor = AtomicUsize::new(0);
+    // The next fresh seed nobody has claimed yet.
+    let claim = || {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        (i < fresh.len()).then_some(i)
+    };
+    let (tx, rx) = mpsc::channel::<(usize, TrialStats)>();
+    let mut group = writer.map(GroupCommit::new);
+    let (fresh, claim, trial) = (&fresh, &claim, &trial);
+    thread::scope(|scope| {
+        for _ in 1..jobs.min(fresh.len()) {
+            let tx = tx.clone();
+            scope.spawn(move || {
+                while let Some(i) = claim() {
+                    if tx.send((i, trial(fresh[i]))).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx);
+        let mut reorder = ReorderBuffer::new(rx);
+        let run = walk(seeds, replay, stop, |seed| {
+            let want = index[&seed];
+            let t = loop {
+                if let Some(t) = reorder.try_index(want) {
+                    break t;
+                }
+                // Rather than wait for a worker, run the next unclaimed
+                // seed here.
+                if let Some(i) = claim() {
+                    reorder.insert(i, trial(fresh[i]));
+                    continue;
+                }
+                match reorder.recv_index(want, COORDINATOR_POLL) {
+                    Ok(t) => break t,
+                    Err(ReorderWait::Tick) => {
+                        group.as_mut().map_or(Ok(()), GroupCommit::flush_if_due)?;
+                    }
+                    // Every worker is gone without this result: one
+                    // panicked outside the supervisor, and the scope
+                    // re-raises that panic.
+                    Err(ReorderWait::Disconnected) => return Ok(None),
+                }
+            };
+            if let Some(g) = group.as_mut() {
+                g.record(&t)?;
+                g.flush_if_due()?;
+            }
+            Ok(Some(t))
+        });
+        // Closes the result channel, so the workers stop at their next
+        // send instead of claiming more seeds.
+        drop(reorder);
+        // Flush on interrupt, error and completion alike: every
+        // journaled record is durable before the pass returns.
+        let flushed = group.as_mut().map_or(Ok(()), GroupCommit::flush);
+        let run = run?;
+        flushed?;
+        Ok(run)
+    })
+}
+
+/// The walk [`run_seeds`] makes in either mode; `fresh(seed)` runs or
+/// receives a seed's trial and journals it, and `None` from it ends the
+/// pass.
+fn walk(
+    seeds: &[u64],
+    mut replay: BTreeMap<u64, TrialStats>,
+    stop: impl Fn() -> bool,
+    mut fresh: impl FnMut(u64) -> Result<Option<TrialStats>, JournalError>,
+) -> Result<SeedRun, JournalError> {
+    let mut run = SeedRun {
+        trials: Vec::with_capacity(seeds.len()),
+        executed: 0,
+        replayed: 0,
+        interrupted: false,
+    };
+    for &seed in seeds {
+        if stop() {
+            run.interrupted = true;
+            break;
+        }
+        if let Some(t) = replay.get(&seed) {
+            run.trials.push(t.clone());
+            run.replayed += 1;
+            continue;
+        }
+        let Some(t) = fresh(seed)? else {
+            run.interrupted = true;
+            break;
+        };
+        run.executed += 1;
+        // Duplicate seeds later in the list replay this result instead
+        // of re-running.
+        replay.insert(seed, t.clone());
+        run.trials.push(t);
+    }
+    Ok(run)
 }
 
 /// Runs a supervised, journaled, resumable fault campaign.
 ///
-/// Per seed, in order: if `stop()` returns true the campaign winds down
-/// (journal flushed — every recorded trial is fsynced); if the
-/// journal holds the seed's record it is replayed **byte-for-byte**;
-/// otherwise the trial runs under the supervision envelope (panic
-/// capture, watchdog, retries, quarantine) and its record is appended
-/// in canonical seed order.
+/// Per seed, in order (see [`run_seeds`]): if `stop()` returns true the
+/// campaign winds down (journal flushed — every recorded trial is
+/// fsynced); if the journal holds the seed's record it is replayed
+/// **byte-for-byte**; otherwise the trial runs under the supervision
+/// envelope (panic capture, watchdog, retries, quarantine) and its
+/// record is appended in canonical seed order. Trials reuse pooled
+/// [`EngineScratch`], and one [`Supervisor`] serves every worker.
 ///
 /// With `options.jobs >= 2`, trials fan out over a work-stealing worker
-/// pool; a single coordinator reorders results into seed order before
-/// journaling, batching appends with group commit. Journals, aggregates,
+/// pool and their records are group-committed. Journals, aggregates,
 /// and `TrialStats` are byte-identical to serial execution for any
 /// thread count, and kill-and-resume replays exactly the same records.
 ///
@@ -172,12 +325,12 @@ pub fn run_campaign<S, F>(
     config: &FaultConfig,
     seeds: &[u64],
     options: &CampaignOptions,
-    stop: impl Fn() -> bool + Sync,
+    stop: impl Fn() -> bool,
     make_scheduler: F,
 ) -> Result<CampaignOutcome, CampaignError>
 where
     S: OnlineScheduler + 'static,
-    F: Fn() -> S + Clone + Send + Sync + 'static,
+    F: Fn() -> S + Send + Sync + 'static,
 {
     let scheduler_name = make_scheduler().name().to_string();
     let fingerprint = campaign_fingerprint(instance, config, &scheduler_name, options.budget);
@@ -207,194 +360,55 @@ where
         .map_err(|p| CampaignError::BaselinePanicked { message: rigid_faults::panic_message(p) })?;
         Ok(run.map_err(CampaignError::Baseline)?.makespan())
     };
-    let (mut writer, mut replay, torn_tail, fault_free_makespan) = match &options.journal {
-        Some(path) => {
-            let journal = resume_or_create(
-                path,
-                options.resume,
-                &fingerprint_hex,
-                shard_info.as_ref(),
-                || {
-                    Ok::<_, CampaignError>(JournalHeader {
-                        schema: JOURNAL_SCHEMA.to_string(),
-                        fingerprint: fingerprint_hex.clone(),
-                        scheduler: scheduler_name,
-                        fault_free_makespan: baseline()?,
-                    })
-                },
-            )?;
-            let makespan = journal.header.fault_free_makespan;
-            (Some(journal.writer), journal.replay, journal.torn_tail, makespan)
-        }
-        None => (None, BTreeMap::new(), false, baseline()?),
-    };
-
-    let mut trials = Vec::with_capacity(seeds.len());
-    let mut executed = 0;
-    let mut replayed = 0;
-    let mut interrupted = false;
-    let jobs = options.jobs.max(1);
-
-    if jobs <= 1 {
-        let mut supervisor = Supervisor::new(options.policy);
-        for &seed in seeds {
-            if stop() {
-                interrupted = true;
-                break;
-            }
-            if let Some(t) = replay.get(&seed) {
-                trials.push(t.clone());
-                replayed += 1;
-                continue;
-            }
-            let budget = options.budget;
-            let inst = instance.clone();
-            let cfg = config.clone();
-            let mk = make_scheduler.clone();
-            let trial = supervisor
-                .run_trial(seed, fingerprint, move || {
-                    let inst = inst.clone();
-                    let cfg = cfg.clone();
-                    let mk = mk.clone();
-                    move || {
-                        let mut sched = mk();
-                        run_trial(&inst, &cfg, seed, budget, &mut sched)
-                    }
+    let mut journal = match &options.journal {
+        Some(path) => Some(resume_or_create(
+            path,
+            options.resume,
+            &fingerprint_hex,
+            shard_info.as_ref(),
+            || {
+                Ok::<_, CampaignError>(JournalHeader {
+                    schema: JOURNAL_SCHEMA.to_string(),
+                    fingerprint: fingerprint_hex.clone(),
+                    scheduler: scheduler_name,
+                    fault_free_makespan: baseline()?,
                 })
-                .unwrap_or_else(|err| enveloped_failure(instance, seed, err));
-            if let Some(w) = writer.as_mut() {
-                w.record(&trial)?;
-            }
-            executed += 1;
-            // Duplicate seeds later in the list replay this result
-            // instead of re-running.
-            replay.insert(seed, trial.clone());
-            trials.push(trial);
-        }
-    } else {
-        // Work list: the first occurrence of each seed that is not
-        // already in the journal. Duplicates and replayed seeds are
-        // resolved by the coordinator from `replay`, exactly like the
-        // serial loop.
-        let mut desc_index: BTreeMap<u64, usize> = BTreeMap::new();
-        let mut descs: Vec<u64> = Vec::new();
-        for &seed in seeds {
-            if !replay.contains_key(&seed) && !desc_index.contains_key(&seed) {
-                desc_index.insert(seed, descs.len());
-                descs.push(seed);
-            }
-        }
-        let total = descs.len();
-        let quarantine = SharedQuarantine::new();
-        let scratch: Arc<ScratchPool<EngineScratch>> = Arc::new(ScratchPool::new());
-        let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, TrialStats)>();
-        let mut group = writer.as_mut().map(GroupCommit::new);
-        let mut journal_error: Option<JournalError> = None;
-        let policy = options.policy;
-        let budget = options.budget;
-        let descs = &descs;
-        let quarantine = &quarantine;
-        let cursor = &cursor;
-        let stop = &stop;
-        thread::scope(|scope| {
-            for _ in 0..jobs.min(total) {
-                let tx = tx.clone();
-                let scratch = Arc::clone(&scratch);
-                let mk = make_scheduler.clone();
-                scope.spawn(move || loop {
-                    if stop() {
-                        break;
-                    }
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    let seed = descs[i];
-                    let trial = run_supervised(&policy, quarantine, seed, fingerprint, || {
-                        let inst = instance.clone();
-                        let cfg = config.clone();
-                        let mk = mk.clone();
-                        let scratch = Arc::clone(&scratch);
-                        move || {
-                            scratch.with(EngineScratch::new, |s| {
-                                let mut sched = mk();
-                                run_trial_reusing(&inst, &cfg, seed, budget, &mut sched, s)
-                            })
-                        }
-                    })
-                    .unwrap_or_else(|err| enveloped_failure(instance, seed, err));
-                    if tx.send((i, trial)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            // Owned by the scope body: dropping it on an early break
-            // closes the result channel, so workers notice on their next
-            // send and stop claiming descriptors.
-            let mut reorder = ReorderBuffer::new(rx);
+            },
+        )?),
+        None => None,
+    };
+    let fault_free_makespan = match &journal {
+        Some(j) => j.header.fault_free_makespan,
+        None => baseline()?,
+    };
+    let torn_tail = journal.as_ref().is_some_and(|j| j.torn_tail);
 
-            // Coordinator: walk the seed list in canonical order,
-            // journaling each result as soon as its turn comes up. The
-            // descriptor indices are assigned in first-occurrence order,
-            // so the requests below are monotonic and the reorder buffer
-            // holds at most what the workers have run ahead by.
-            'seeds: for &seed in seeds {
-                if stop() {
-                    interrupted = true;
-                    break 'seeds;
-                }
-                if let Some(t) = replay.get(&seed) {
-                    trials.push(t.clone());
-                    replayed += 1;
-                    continue;
-                }
-                let idx = desc_index[&seed];
-                let trial = loop {
-                    match reorder.recv_index(idx, COORDINATOR_POLL) {
-                        Ok(t) => break t,
-                        Err(ReorderWait::Tick) => {
-                            let due = group.as_mut().map_or(Ok(()), GroupCommit::flush_if_due);
-                            if let Err(e) = due {
-                                journal_error = Some(e);
-                                break 'seeds;
-                            }
-                        }
-                        Err(ReorderWait::Disconnected) => {
-                            // Every worker exited without producing this
-                            // result: the stop condition interrupted the
-                            // fan-out. In-flight results past this point
-                            // are discarded so the journal stays a
-                            // contiguous, in-order prefix.
-                            interrupted = true;
-                            break 'seeds;
-                        }
-                    }
-                };
-                if let Err(e) = group.as_mut().map_or(Ok(()), |g| g.record(&trial)) {
-                    journal_error = Some(e);
-                    break 'seeds;
-                }
-                executed += 1;
-                replay.insert(seed, trial.clone());
-                trials.push(trial);
-            }
-        });
-        // Flush on interrupt and at completion alike: every journaled
-        // record is durable before the campaign returns.
-        let flushed = group.as_mut().map_or(Ok(()), GroupCommit::flush);
-        if let Some(e) = journal_error {
-            return Err(e.into());
-        }
-        flushed?;
-    }
+    // What every attempt shares. Owned, because a watchdogged attempt
+    // runs on a pool thread that may outlive this call.
+    let (inst, cfg, budget, procs) =
+        (instance.clone(), config.clone(), options.budget, instance.procs());
+    let scratch: ScratchPool<EngineScratch> = ScratchPool::new();
+    let attempt = Arc::new(move |seed| {
+        scratch.with(EngineScratch::new, |s| {
+            let mut sched = make_scheduler();
+            run_trial_reusing(&inst, &cfg, seed, budget, &mut sched, s)
+        })
+    });
+    let supervisor = Supervisor::new(options.policy);
+    let run = run_seeds(seeds, journal.as_mut(), options.jobs, stop, |seed| {
+        supervisor
+            .run_trial(seed, fingerprint, || {
+                let attempt = Arc::clone(&attempt);
+                move || attempt(seed)
+            })
+            .unwrap_or_else(|err| TrialStats::without_faults(seed, procs, Err(err)))
+    })?;
 
     Ok(CampaignOutcome {
-        stats: CampaignStats { fault_free_makespan, trials },
-        executed,
-        replayed,
-        interrupted,
+        stats: CampaignStats { fault_free_makespan, trials: run.trials },
+        executed: run.executed,
+        replayed: run.replayed,
+        interrupted: run.interrupted,
         torn_tail,
     })
 }
@@ -402,6 +416,93 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use catbatch::CatBatch;
+    use rigid_dag::paper::figure3;
+    use rigid_faults::TrialError;
+
+    fn unjournaled(jobs: usize) -> CampaignOptions {
+        CampaignOptions { jobs, ..CampaignOptions::default() }
+    }
+
+    /// Regression: a scheduler that panics on one seed used to take the
+    /// whole campaign down; now the panic is captured as a typed
+    /// [`TrialError::Panicked`] and the remaining seeds still run.
+    #[test]
+    fn panicking_scheduler_poisons_one_trial_not_the_campaign() {
+        use rigid_dag::{ReleasedTask, TaskId};
+        use rigid_sim::FailureResponse;
+
+        /// Delegates to CatBatch but panics on the first injected
+        /// failure — so it panics exactly on seeds where the injector
+        /// fires, and behaves on the rest.
+        struct Grenade {
+            inner: CatBatch,
+        }
+        impl OnlineScheduler for Grenade {
+            fn name(&self) -> &'static str {
+                "grenade"
+            }
+            fn on_release(&mut self, t: &ReleasedTask, now: Time) {
+                self.inner.on_release(t, now);
+            }
+            fn on_complete(&mut self, t: TaskId, now: Time) {
+                self.inner.on_complete(t, now);
+            }
+            fn decide_into(&mut self, now: Time, free: u32, out: &mut Vec<TaskId>) {
+                self.inner.decide_into(now, free, out)
+            }
+            fn on_failure(&mut self, t: TaskId, now: Time) -> FailureResponse {
+                panic!("grenade scheduler exploded on failure of {t} at t={now}");
+            }
+        }
+        let campaign = |config: FaultConfig, seeds: &[u64]| {
+            run_campaign(&figure3(), &config, seeds, &unjournaled(1), || false, || Grenade {
+                inner: CatBatch::new(),
+            })
+            .expect("the campaign survives its panics")
+            .stats
+        };
+
+        // 100% failure probability: every seed injects a failure on the
+        // very first attempt, so every trial panics...
+        let all_bad = campaign(FaultConfig::fail_stop(1000, 1), &[1, 2, 3]);
+        assert_eq!(all_bad.trials.len(), 3, "campaign must survive every panic");
+        for t in &all_bad.trials {
+            match &t.outcome {
+                Err(TrialError::Panicked { message }) => {
+                    assert!(message.contains("grenade scheduler exploded"));
+                }
+                other => panic!("expected Panicked, got {other:?}"),
+            }
+        }
+
+        // A moderate probability leaves some seeds clean: those trials
+        // complete normally alongside the poisoned ones.
+        let mixed = campaign(FaultConfig::fail_stop(150, 1), &[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(mixed.trials.len(), 8);
+        assert!(mixed.completed() > 0, "some seeds stay clean at 15%");
+        assert!(
+            mixed.trials.iter().any(|t| matches!(t.outcome, Err(TrialError::Panicked { .. }))),
+            "some seeds inject a failure and trip the grenade"
+        );
+    }
+
+    #[test]
+    fn parallel_trials_match_serial_for_any_jobs() {
+        let inst = figure3();
+        let cfg = FaultConfig::fail_stop(400, 2);
+        let seeds: Vec<u64> = (100..140).collect();
+        let campaign = |jobs| {
+            run_campaign(&inst, &cfg, &seeds, &unjournaled(jobs), || false, || {
+                CatBatch::new().with_retry_budget(2)
+            })
+            .expect("unjournaled campaign")
+        };
+        let serial = campaign(1);
+        for jobs in [2, 8] {
+            assert_eq!(campaign(jobs), serial, "jobs={jobs} must be trial-for-trial identical");
+        }
+    }
 
     #[test]
     fn fingerprint_distinguishes_scenarios() {

@@ -9,13 +9,13 @@
 //! returns to the pool, and a campaign of 10 000 watchdogged trials
 //! shares a handful of threads instead of spawning one each. Repeated
 //! offenders are quarantined so a poison `(seed, scenario)` pair is
-//! attempted at most once per campaign.
+//! attempted at most once per supervisor, whichever thread asks.
 
 use rigid_exec::{WatchdogOutcome, WatchdogPool};
 use rigid_faults::{panic_message, TrialError};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
@@ -68,107 +68,26 @@ where
     }
 }
 
-/// The retry loop shared by [`Supervisor::run_trial`] and the parallel
-/// campaign workers: run attempts (with deterministic backoff) until one
-/// succeeds or the budget is spent. On exhaustion returns the final
-/// error plus the attempt count for the quarantine record.
-fn attempt_loop<T, A, F>(policy: &SupervisorPolicy, mut make_attempt: F) -> Result<T, (TrialError, u32)>
-where
-    T: Send + 'static,
-    A: FnOnce() -> T + Send + 'static,
-    F: FnMut() -> A,
-{
-    let attempts = 1 + policy.max_retries;
-    let mut last = TrialError::Quarantined { attempts: 0 };
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            let shift = (attempt - 1).min(16);
-            let backoff = policy.backoff_base.saturating_mul(1u32 << shift);
-            if !backoff.is_zero() {
-                thread::sleep(backoff);
-            }
-        }
-        match run_attempt(policy, make_attempt()) {
-            Ok(value) => return Ok(value),
-            Err(err) => last = err,
-        }
-    }
-    Err((last, attempts))
-}
-
-/// A quarantine shared by concurrent campaign workers: the same
-/// `(seed, scenario)` poison tracking as [`Supervisor`], behind a lock.
-///
-/// Campaign workers operate on *distinct* seeds (duplicates are deduped
-/// into replays before dispatch), so entries never race for the same key
-/// and the map's contents — like everything else in a campaign — are
-/// independent of worker interleaving.
-#[derive(Debug, Default)]
-pub(crate) struct SharedQuarantine {
-    map: Mutex<BTreeMap<(u64, u64), u32>>,
-}
-
-impl SharedQuarantine {
-    pub(crate) fn new() -> Self {
-        SharedQuarantine::default()
-    }
-
-    fn check(&self, seed: u64, scenario: u64) -> Option<u32> {
-        self.map
-            .lock()
-            .expect("quarantine lock poisoned")
-            .get(&(seed, scenario))
-            .copied()
-    }
-
-    fn poison(&self, seed: u64, scenario: u64, attempts: u32) {
-        self.map
-            .lock()
-            .expect("quarantine lock poisoned")
-            .insert((seed, scenario), attempts);
-    }
-}
-
-/// The supervision envelope used by parallel campaign workers: identical
-/// semantics to [`Supervisor::run_trial`], with the quarantine shared
-/// across threads.
-pub(crate) fn run_supervised<T, A, F>(
-    policy: &SupervisorPolicy,
-    quarantine: &SharedQuarantine,
-    seed: u64,
-    scenario: u64,
-    make_attempt: F,
-) -> Result<T, TrialError>
-where
-    T: Send + 'static,
-    A: FnOnce() -> T + Send + 'static,
-    F: FnMut() -> A,
-{
-    if let Some(attempts) = quarantine.check(seed, scenario) {
-        return Err(TrialError::Quarantined { attempts });
-    }
-    attempt_loop(policy, make_attempt).map_err(|(last, attempts)| {
-        quarantine.poison(seed, scenario, attempts);
-        last
-    })
-}
-
 /// Runs trials in isolation and tracks poison `(seed, scenario)` pairs.
 ///
 /// The scenario is a caller-chosen stable fingerprint (see
 /// [`campaign_fingerprint`](crate::campaign_fingerprint)); quarantine
 /// keys on `(seed, scenario)` so the same seed under a different config
 /// is still attempted.
+///
+/// One supervisor serves many threads: the quarantine sits behind a
+/// lock, so the workers of a parallel campaign, or of the daemon, share
+/// it and a pair poisoned on one thread is refused on every other.
 #[derive(Debug)]
 pub struct Supervisor {
     policy: SupervisorPolicy,
-    quarantined: BTreeMap<(u64, u64), u32>,
+    quarantined: Mutex<BTreeMap<(u64, u64), u32>>,
 }
 
 impl Supervisor {
     /// A supervisor with the given policy and an empty quarantine.
     pub fn new(policy: SupervisorPolicy) -> Self {
-        Supervisor { policy, quarantined: BTreeMap::new() }
+        Supervisor { policy, quarantined: Mutex::new(BTreeMap::new()) }
     }
 
     /// The active policy.
@@ -176,20 +95,27 @@ impl Supervisor {
         &self.policy
     }
 
+    fn quarantine(&self) -> MutexGuard<'_, BTreeMap<(u64, u64), u32>> {
+        // Only map lookups and inserts run under the lock; none panics.
+        self.quarantined.lock().expect("quarantine lock poisoned")
+    }
+
     /// Whether `(seed, scenario)` has been quarantined.
     pub fn is_quarantined(&self, seed: u64, scenario: u64) -> bool {
-        self.quarantined.contains_key(&(seed, scenario))
+        self.quarantine().contains_key(&(seed, scenario))
     }
 
     /// The quarantined `(seed, scenario)` pairs with the attempts each
     /// consumed, in key order.
     pub fn quarantined(&self) -> Vec<((u64, u64), u32)> {
-        self.quarantined.iter().map(|(&k, &v)| (k, v)).collect()
+        self.quarantine().iter().map(|(&k, &v)| (k, v)).collect()
     }
 
     /// Runs one trial under supervision. `make_attempt` is called once
     /// per attempt and must hand back a self-contained job (retries
-    /// need a fresh one because a panicked job is consumed).
+    /// need a fresh one because a panicked job is consumed). Attempts
+    /// run until one succeeds or `1 + max_retries` have panicked or
+    /// timed out, with the policy's deterministic backoff between them.
     ///
     /// Returns the job's value, or a typed [`TrialError`]:
     /// [`Panicked`](TrialError::Panicked) /
@@ -197,23 +123,37 @@ impl Supervisor {
     /// [`Quarantined`](TrialError::Quarantined) if the pair was already
     /// poisoned by an earlier call.
     pub fn run_trial<T, A, F>(
-        &mut self,
+        &self,
         seed: u64,
         scenario: u64,
-        make_attempt: F,
+        mut make_attempt: F,
     ) -> Result<T, TrialError>
     where
         T: Send + 'static,
         A: FnOnce() -> T + Send + 'static,
         F: FnMut() -> A,
     {
-        if let Some(&attempts) = self.quarantined.get(&(seed, scenario)) {
+        let poisoned = self.quarantine().get(&(seed, scenario)).copied();
+        if let Some(attempts) = poisoned {
             return Err(TrialError::Quarantined { attempts });
         }
-        attempt_loop(&self.policy, make_attempt).map_err(|(last, attempts)| {
-            self.quarantined.insert((seed, scenario), attempts);
-            last
-        })
+        let attempts = 1 + self.policy.max_retries;
+        let mut last = TrialError::Quarantined { attempts: 0 };
+        for attempt in 0..attempts {
+            if attempt > 0 {
+                let shift = (attempt - 1).min(16);
+                let backoff = self.policy.backoff_base.saturating_mul(1u32 << shift);
+                if !backoff.is_zero() {
+                    thread::sleep(backoff);
+                }
+            }
+            match run_attempt(&self.policy, make_attempt()) {
+                Ok(value) => return Ok(value),
+                Err(err) => last = err,
+            }
+        }
+        self.quarantine().insert((seed, scenario), attempts);
+        Err(last)
     }
 }
 
@@ -243,7 +183,7 @@ mod tests {
 
     #[test]
     fn success_passes_through() {
-        let mut sup = Supervisor::new(policy(None, 0));
+        let sup = Supervisor::new(policy(None, 0));
         assert_eq!(sup.run_trial(1, 7, || || 42), Ok(42));
         assert!(!sup.is_quarantined(1, 7));
     }
@@ -251,7 +191,7 @@ mod tests {
     #[test]
     fn panic_is_captured_retried_and_quarantined() {
         let calls = Arc::new(AtomicU32::new(0));
-        let mut sup = Supervisor::new(policy(None, 2));
+        let sup = Supervisor::new(policy(None, 2));
         let c = calls.clone();
         let result: Result<u32, _> = sup.run_trial(5, 9, move || {
             let c = c.clone();
@@ -277,7 +217,7 @@ mod tests {
     #[test]
     fn recovery_on_retry_is_a_success() {
         let calls = Arc::new(AtomicU32::new(0));
-        let mut sup = Supervisor::new(policy(None, 3));
+        let sup = Supervisor::new(policy(None, 3));
         let c = calls.clone();
         let result = sup.run_trial(2, 2, move || {
             let c = c.clone();
@@ -295,7 +235,7 @@ mod tests {
     #[test]
     fn watchdog_cuts_off_a_hang() {
         let _pool = watchdog_pool_lock();
-        let mut sup = Supervisor::new(policy(Some(40), 0));
+        let sup = Supervisor::new(policy(Some(40), 0));
         let result: Result<u32, _> = sup.run_trial(3, 3, || {
             || {
                 // Far beyond the watchdog; the pool worker stays busy
@@ -311,7 +251,7 @@ mod tests {
     #[test]
     fn watchdog_lets_fast_trials_through() {
         let _pool = watchdog_pool_lock();
-        let mut sup = Supervisor::new(policy(Some(5_000), 0));
+        let sup = Supervisor::new(policy(Some(5_000), 0));
         assert_eq!(sup.run_trial(4, 4, || || 7), Ok(7));
     }
 
@@ -323,7 +263,7 @@ mod tests {
         // stale hung job from another test still occupies a worker), so
         // it stays far below the trial count.
         let before = WatchdogPool::global().spawned_threads();
-        let mut sup = Supervisor::new(policy(Some(5_000), 0));
+        let sup = Supervisor::new(policy(Some(5_000), 0));
         for seed in 0..100 {
             assert_eq!(sup.run_trial(seed, 1, || move || seed), Ok(seed));
         }
@@ -339,7 +279,7 @@ mod tests {
 
     #[test]
     fn quarantine_is_scenario_scoped() {
-        let mut sup = Supervisor::new(policy(None, 0));
+        let sup = Supervisor::new(policy(None, 0));
         let _: Result<(), _> = sup.run_trial(1, 100, || || panic!("bad config"));
         assert!(sup.is_quarantined(1, 100));
         // Same seed, different scenario: runs fine.
@@ -347,14 +287,31 @@ mod tests {
     }
 
     #[test]
-    fn shared_quarantine_matches_supervisor_semantics() {
-        let q = SharedQuarantine::new();
-        let p = policy(None, 1);
-        let r: Result<u32, _> = run_supervised(&p, &q, 7, 70, || || panic!("always"));
-        assert!(matches!(r, Err(TrialError::Panicked { .. })));
-        let again: Result<u32, _> = run_supervised(&p, &q, 7, 70, || || 1);
-        assert_eq!(again, Err(TrialError::Quarantined { attempts: 2 }));
-        // Different scenario is unaffected.
-        assert_eq!(run_supervised(&p, &q, 7, 71, || || 1), Ok(1));
+    fn one_supervisor_shared_by_threads_quarantines_once() {
+        // Two threads share one supervisor. The first poisons the pair;
+        // the barrier holds the second back until it has, and the second
+        // is then refused without running anything.
+        let sup = Supervisor::new(policy(None, 1));
+        let calls = AtomicU32::new(0);
+        let poisoned = std::sync::Barrier::new(2);
+        thread::scope(|scope| {
+            scope.spawn(|| {
+                let r: Result<u32, _> = sup.run_trial(7, 70, || {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    || panic!("always")
+                });
+                assert!(matches!(r, Err(TrialError::Panicked { .. })));
+                poisoned.wait();
+            });
+            scope.spawn(|| {
+                poisoned.wait();
+                let again: Result<u32, _> = sup.run_trial(7, 70, || || unreachable!("quarantined"));
+                assert_eq!(again, Err(TrialError::Quarantined { attempts: 2 }));
+                // A different scenario is unaffected.
+                assert_eq!(sup.run_trial(7, 71, || || 1), Ok(1));
+            });
+        });
+        assert_eq!(calls.load(Ordering::SeqCst), 2, "1 attempt + 1 retry, on one thread only");
+        assert_eq!(sup.quarantined(), vec![((7, 70), 2)]);
     }
 }

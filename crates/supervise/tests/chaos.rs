@@ -93,12 +93,13 @@ fn child(role: String) -> Command {
 /// The child entry point: a no-op unless [`ROLE_VAR`] is set, in which
 /// case the role string selects and parameterizes the scenario.
 ///
-/// * `shard:<journal>:<i>:<n>:<abort_after>` — runs shard `i/n` of the
-///   standard campaign, calling `std::process::abort()` (no flush, no
-///   destructors — the userspace effect of `kill -9`) after
-///   `abort_after` stop-closure polls. In the serial campaign loop the
-///   stop closure runs exactly once per trial, so `abort_after = k`
-///   journals exactly `k` records and then dies.
+/// * `shard:<journal>:<i>:<n>:<abort_after>:<jobs>` — runs shard `i/n`
+///   of the standard campaign on `jobs` workers, calling
+///   `std::process::abort()` (no flush, no destructors — the userspace
+///   effect of `kill -9`) after `abort_after` stop-closure polls. The
+///   campaign polls the stop closure exactly once per seed, in seed
+///   order, at any `jobs`, so `abort_after = k` journals exactly `k`
+///   records and then dies.
 /// * `sigterm:<journal>` — installs the interrupt handler and runs the
 ///   big campaign with `--jobs 2` (the group-commit path), stopping at
 ///   the real signal the parent sends; prints a `CHAOS-RESULT` line.
@@ -112,12 +113,13 @@ fn chaos_child_main() {
             let index: usize = parts[2].parse().unwrap();
             let count: usize = parts[3].parse().unwrap();
             let abort_after: u64 = parts[4].parse().unwrap();
+            let jobs: usize = parts[5].parse().unwrap();
             let polls = AtomicU64::new(0);
             run_campaign(
                 &figure3(),
                 &config(),
                 &SEEDS,
-                &options(journal, false, Some(spec(index, count))),
+                &CampaignOptions { jobs, ..options(journal, false, Some(spec(index, count))) },
                 move || {
                     if polls.fetch_add(1, Ordering::Relaxed) >= abort_after {
                         std::process::abort();
@@ -178,13 +180,13 @@ fn killed_shards_resume_and_merge_to_canonical_bytes() {
     let shards: Vec<TempFile> = (1..=3).map(|i| TempFile(temp_path(&format!("s{i}")))).collect();
 
     // Shard 1 runs to completion in a real subprocess.
-    let status = child(format!("shard:{}:1:3:{}", shards[0].0.display(), u64::MAX))
+    let status = child(format!("shard:{}:1:3:{}:1", shards[0].0.display(), u64::MAX))
         .status()
         .expect("spawn shard 1");
     assert!(status.success(), "shard 1 completes");
 
     // Shard 2 aborts deterministically after journaling 2 records.
-    let status = child(format!("shard:{}:2:3:2", shards[1].0.display()))
+    let status = child(format!("shard:{}:2:3:2:1", shards[1].0.display()))
         .status()
         .expect("spawn shard 2");
     assert!(!status.success(), "shard 2 dies mid-campaign");
@@ -193,7 +195,7 @@ fn killed_shards_resume_and_merge_to_canonical_bytes() {
     assert!(!damaged.torn_tail, "per-record fsync leaves no torn tail");
 
     // Shard 3 is SIGKILLed externally at an arbitrary point.
-    let mut proc3 = child(format!("shard:{}:3:3:{}", shards[2].0.display(), u64::MAX))
+    let mut proc3 = child(format!("shard:{}:3:3:{}:1", shards[2].0.display(), u64::MAX))
         .spawn()
         .expect("spawn shard 3");
     std::thread::sleep(Duration::from_millis(30));
@@ -246,8 +248,9 @@ fn killed_shards_resume_and_merge_to_canonical_bytes() {
 }
 
 /// Randomized kill points: every shard of a 2-shard campaign is aborted
-/// at a different deterministic-but-arbitrary record count, resumed,
-/// and merged; the result must always equal the canonical bytes.
+/// at a different deterministic-but-arbitrary record count, at 1, 2 and
+/// 4 workers; the aborted journal must hold exactly that many records,
+/// and resumed and merged, the shards must equal the canonical bytes.
 #[test]
 fn every_abort_point_merges_to_canonical_bytes() {
     let canon = TempFile(temp_path("sweep-canon"));
@@ -265,14 +268,24 @@ fn every_abort_point_merges_to_canonical_bytes() {
     // SEEDS splits 6 + 6 over two shards; abort each shard after k
     // records for a spread of crash points (0 = killed before any
     // record).
-    for (k1, k2) in [(0u64, 4u64), (3, 0), (5, 1)] {
-        let shards: Vec<TempFile> =
-            (1..=2).map(|i| TempFile(temp_path(&format!("sweep-{k1}-{k2}-{i}")))).collect();
+    for (jobs, (k1, k2)) in [1, 2, 4].into_iter().flat_map(|jobs| {
+        [(0u64, 4u64), (3, 0), (5, 1)].map(|ks| (jobs, ks))
+    }) {
+        let shards: Vec<TempFile> = (1..=2)
+            .map(|i| TempFile(temp_path(&format!("sweep-{jobs}-{k1}-{k2}-{i}"))))
+            .collect();
         for (i, k) in [(1usize, k1), (2, k2)] {
-            let status = child(format!("shard:{}:{i}:2:{k}", shards[i - 1].0.display()))
-                .status()
-                .expect("spawn shard");
+            let status =
+                child(format!("shard:{}:{i}:2:{k}:{jobs}", shards[i - 1].0.display()))
+                    .status()
+                    .expect("spawn shard");
             assert!(!status.success(), "shard {i} dies after {k} record(s)");
+            let aborted = read_journal(&shards[i - 1].0).expect("read aborted shard");
+            assert_eq!(
+                aborted.trials.len() as u64,
+                k,
+                "jobs {jobs}: shard {i} aborted after {k} polls holds {k} records"
+            );
             run_campaign(
                 &figure3(),
                 &config(),
@@ -283,13 +296,13 @@ fn every_abort_point_merges_to_canonical_bytes() {
             )
             .expect("resume shard");
         }
-        let out = TempFile(temp_path(&format!("sweep-{k1}-{k2}-merged")));
+        let out = TempFile(temp_path(&format!("sweep-{jobs}-{k1}-{k2}-merged")));
         let input_paths: Vec<PathBuf> = shards.iter().map(|f| f.0.clone()).collect();
         merge_shards(&input_paths, &out.0).expect("merge resumed shards");
         assert_eq!(
             fs::read(&out.0).expect("merged bytes"),
             canon_bytes,
-            "abort points ({k1}, {k2}) must still merge to canonical bytes"
+            "jobs {jobs}: abort points ({k1}, {k2}) must still merge to canonical bytes"
         );
     }
 }

@@ -21,9 +21,16 @@ use rigid_lowerbounds::chains::GadgetParams;
 use rigid_lowerbounds::zgraph::{lemma10_bound, lemma11_bound, ZAdversary};
 use rigid_sim::engine;
 use rigid_time::Time;
+use std::fmt::{self, Write};
+use std::process::ExitCode;
 
-fn main() {
-    println!("== Act 1: the ASAP trap (paper Figure 1) ==");
+fn main() -> ExitCode {
+    rigid_sim::write_stdout([report().expect("formatting into a String cannot fail")])
+}
+
+fn report() -> Result<String, fmt::Error> {
+    let mut out = String::new();
+    writeln!(out, "== Act 1: the ASAP trap (paper Figure 1) ==")?;
     let p = 16u32;
     let eps = Time::from_ratio(1, 100);
     let instance = intro_example(p, eps);
@@ -34,23 +41,26 @@ fn main() {
     asap_run.schedule.assert_valid(&instance);
     cb_run.schedule.assert_valid(&instance);
 
-    println!("P = {p}, n = {}, Lb = {lb}", instance.len());
-    println!(
+    writeln!(out, "P = {p}, n = {}, Lb = {lb}", instance.len())?;
+    writeln!(
+        out,
         "ASAP list scheduling : makespan {} (ratio {:.2} — grows with P!)",
         asap_run.makespan(),
         asap_run.makespan().ratio(lb).to_f64()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "CatBatch             : makespan {} (ratio {:.2})",
         cb_run.makespan(),
         cb_run.makespan().ratio(lb).to_f64()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "CatBatch holds the long unit tasks back until the ε-ladder drains —\n\
          the deliberate idling that ASAP rules out.\n"
-    );
+    )?;
 
-    println!("== Act 2: the adaptive adversary Z^Alg_P(K) (paper Section 6) ==");
+    writeln!(out, "== Act 2: the adaptive adversary Z^Alg_P(K) (paper Section 6) ==")?;
     let params = GadgetParams::new(5, 2, Time::from_ratio(1, 80));
     for (name, mut sched) in [
         ("asap", Box::new(asap()) as Box<dyn rigid_sim::OnlineScheduler>),
@@ -62,19 +72,22 @@ fn main() {
         result.schedule.assert_valid(&committed);
         let witness = adversary.witness_schedule();
         witness.assert_valid(&committed);
-        println!(
+        writeln!(
+            out,
             "{name:<9}: T = {} (≥ Lemma 10 bound {}), offline witness = {} (< Lemma 11 bound {}), gap ×{:.2}",
             result.makespan(),
             lemma10_bound(&params),
             witness.makespan(),
             lemma11_bound(&params),
             result.makespan().ratio(witness.makespan()).to_f64()
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "\nThe adversary only decides the graph as it watches the run: whichever\n\
          task an algorithm finishes last becomes the gate to the next layer. No\n\
          online algorithm escapes — that is the Θ(log n) lower bound, and it is\n\
          why CatBatch's log2(n)+3 guarantee is near-optimal."
-    );
+    )?;
+    Ok(out)
 }

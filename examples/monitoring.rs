@@ -17,6 +17,8 @@ use rigid_dag::{ReleasedTask, StaticSource, TaskId};
 use rigid_sim::trace::Trace;
 use rigid_sim::{assign, engine, OnlineScheduler};
 use rigid_time::Time;
+use std::fmt::{self, Write};
+use std::process::ExitCode;
 
 /// CatBatch with a monitor attached; snapshots the certified bound at
 /// every release.
@@ -47,7 +49,12 @@ impl OnlineScheduler for MonitoredCatBatch {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
+    rigid_sim::write_stdout([report().expect("formatting into a String cannot fail")])
+}
+
+fn report() -> Result<String, fmt::Error> {
+    let mut out = String::new();
     let instance = layered(99, 8, 6, &TaskSampler::default_mix(), 8);
     let mut sched = MonitoredCatBatch {
         inner: CatBatch::new(),
@@ -57,47 +64,53 @@ fn main() {
     let result = engine::EngineConfig::new().run(&mut StaticSource::new(instance.clone()), &mut sched);
     result.schedule.assert_valid(&instance);
 
-    println!("Certified bound as the instance reveals itself:");
-    println!(
+    writeln!(out, "Certified bound as the instance reveals itself:")?;
+    writeln!(
+        out,
         "{:>10} {:>22} {:>18}",
         "revealed n", "conditional makespan ≤", "ratio ≤ log2(n)+3"
-    );
+    )?;
     // Print every few snapshots to keep the output short.
     let step = (sched.snapshots.len() / 8).max(1);
     for snap in sched.snapshots.iter().step_by(step) {
-        println!("{:>10} {:>22.3} {:>18.3}", snap.0, snap.1.to_f64(), snap.2);
+        writeln!(out, "{:>10} {:>22.3} {:>18.3}", snap.0, snap.1.to_f64(), snap.2)?;
     }
     let final_bound = sched.monitor.conditional_makespan_bound().unwrap();
-    println!(
+    writeln!(
+        out,
         "\nfinal certified bound : {final_bound} (actual makespan {} — bound holds: {})",
         result.makespan(),
         result.makespan() <= final_bound,
-    );
+    )?;
     assert!(result.makespan() <= final_bound);
 
     // The certified bound is monotone-usable at any prefix: it never
     // undershoots what the revealed work alone would require.
-    println!(
+    writeln!(
+        out,
         "batches formed        : {}",
         sched.monitor.revealed_categories()
-    );
+    )?;
 
     // Export the run as a JSON event trace (for plotting/replay).
     let trace = Trace::from_run(&result);
     assert!(trace.is_causal());
-    println!(
+    writeln!(
+        out,
         "trace                 : {} events; first = {:?}",
         trace.len(),
         trace.events().first().unwrap()
-    );
+    )?;
 
     // Map counts to concrete processor indices (deployment view).
     let assignment = assign::assign(&result.schedule);
     assert!(assignment.validate(&result.schedule));
     let sample = result.schedule.placements().next().unwrap();
-    println!(
+    writeln!(
+        out,
         "assignment            : task {} runs on processors {:?}",
         sample.task,
         assignment.processors(sample.task).unwrap()
-    );
+    )?;
+    Ok(out)
 }

@@ -10,8 +10,15 @@ use rigid_dag::{DagBuilder, StaticSource};
 use rigid_sim::gantt::{render, GanttOptions};
 use rigid_sim::{engine, metrics};
 use rigid_time::Time;
+use std::fmt::{self, Write};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    rigid_sim::write_stdout([report().expect("formatting into a String cannot fail")])
+}
+
+fn report() -> Result<String, fmt::Error> {
+    let mut out = String::new();
     // A small scientific workflow: preprocessing fans out into three
     // solvers of different widths, which join into a postprocessing step.
     // Times are exact rationals — from_millis(2, 500) is exactly 2.5.
@@ -39,8 +46,9 @@ fn main() {
     let result = engine::EngineConfig::new().run(&mut StaticSource::new(instance.clone()), &mut scheduler);
     result.schedule.assert_valid(&instance);
 
-    println!("Schedule (CatBatch, P = {}):", instance.procs());
-    println!(
+    writeln!(out, "Schedule (CatBatch, P = {}):", instance.procs())?;
+    writeln!(
+        out,
         "{}",
         render(
             &result.schedule,
@@ -50,37 +58,40 @@ fn main() {
                 labels: true
             }
         )
-    );
+    )?;
 
     // The batches CatBatch formed, in category order.
-    println!("Batches (category ζ → tasks):");
+    writeln!(out, "Batches (category ζ → tasks):")?;
     for batch in scheduler.batch_history() {
         let labels: Vec<&str> = batch
             .tasks
             .iter()
             .map(|&id| instance.graph().spec(id).label_str())
             .collect();
-        println!(
+        writeln!(
+            out,
             "  ζ = {:<5} [{} → {}]  {}",
             format!("{}", batch.category.value()),
             batch.started_at,
             batch.finished_at,
             labels.join(", ")
-        );
+        )?;
     }
 
     // Quality: compare against the Graham lower bound and the Theorem 1
     // guarantee.
     let m = metrics::metrics(&result.schedule, &instance);
     let bound = (instance.len() as f64).log2() + 3.0;
-    println!();
-    println!("makespan       : {}", m.makespan);
-    println!("lower bound Lb : {}", m.lower_bound);
-    println!(
+    writeln!(out)?;
+    writeln!(out, "makespan       : {}", m.makespan)?;
+    writeln!(out, "lower bound Lb : {}", m.lower_bound)?;
+    writeln!(
+        out,
         "ratio          : {:.3} (Theorem 1 guarantees ≤ log2(n)+3 = {:.3})",
         m.ratio_to_lb.to_f64(),
         bound
-    );
-    println!("avg utilization: {:.1}%", m.avg_utilization * 100.0);
+    )?;
+    writeln!(out, "avg utilization: {:.1}%", m.avg_utilization * 100.0)?;
     assert!(m.ratio_to_lb.to_f64() <= bound);
+    Ok(out)
 }

@@ -10,8 +10,15 @@
 use rigid_dag::{analysis, paper, StaticSource};
 use rigid_sim::engine;
 use rigid_strip::CatBatchStrip;
+use std::fmt::{self, Write};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    rigid_sim::write_stdout([report().expect("formatting into a String cannot fail")])
+}
+
+fn report() -> Result<String, fmt::Error> {
+    let mut out = String::new();
     // The paper's Figure 3 example on P = 4 processors.
     let instance = paper::figure3();
     let mut strip = CatBatchStrip::new(instance.procs());
@@ -22,27 +29,34 @@ fn main() {
     result.schedule.assert_valid(&instance);
     strip.packing().assert_valid();
 
-    println!("CatBatch-Strip on the paper's 11-task example (strip width P = 4):");
-    println!("{:<6} {:>10} {:>8} {:>10} {:>8}", "task", "x..x+w", "width", "y (start)", "height");
+    writeln!(out, "CatBatch-Strip on the paper's 11-task example (strip width P = 4):")?;
+    writeln!(
+        out,
+        "{:<6} {:>10} {:>8} {:>10} {:>8}",
+        "task", "x..x+w", "width", "y (start)", "height"
+    )?;
     let mut rects: Vec<_> = strip.packing().rects().to_vec();
     rects.sort_by_key(|r| (r.y, r.x));
     for r in &rects {
-        println!(
+        writeln!(
+            out,
             "{:<6} {:>10} {:>8} {:>10} {:>8}",
             instance.graph().spec(r.id).label_str(),
             format!("{}..{}", r.x, r.x_end()),
             r.width,
             format!("{}", r.y),
             format!("{}", r.height),
-        );
+        )?;
     }
 
     let lb = analysis::lower_bound(&instance);
-    println!();
-    println!("strip height : {}", strip.packing().height());
-    println!("lower bound  : {lb}");
-    println!(
+    writeln!(out)?;
+    writeln!(out, "strip height : {}", strip.packing().height())?;
+    writeln!(out, "lower bound  : {lb}")?;
+    writeln!(
+        out,
         "ratio        : {:.3} (contiguity costs only the NFDH constant per batch)",
         strip.packing().height().ratio(lb).to_f64()
-    );
+    )?;
+    Ok(out)
 }
