@@ -81,7 +81,8 @@ impl OnlineScheduler for ListScheduler {
         let key = self.priority.key(&task.spec);
         let idx = task.id.index();
         if idx >= self.keys.len() {
-            self.keys.resize(idx + 1, (crate::priority::PriorityKey::Index, 0));
+            self.keys
+                .resize(idx + 1, (crate::priority::PriorityKey::Index, 0));
         }
         self.keys[idx] = (key, task.spec.procs);
         self.insert_sorted(task.id, task.spec.procs, key);
@@ -141,7 +142,8 @@ mod tests {
             .task("b", Time::from_int(2), 2)
             .edge("a", "b")
             .build(4);
-        let result = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut asap());
+        let result =
+            engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut asap());
         result.schedule.assert_valid(&inst);
         assert_eq!(result.makespan(), Time::from_int(3));
     }
@@ -155,7 +157,8 @@ mod tests {
         let inst = intro_example(p, eps);
         for priority in Priority::ALL {
             let mut sched = ListScheduler::new(priority);
-            let result = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut sched);
+            let result =
+                engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut sched);
             result.schedule.assert_valid(&inst);
             // ASAP starts C_k immediately; B_k must wait for C_k to end:
             // makespan ≥ P · 1 (each of the P unit-length C's serializes
@@ -219,7 +222,9 @@ mod tests {
                 _procs: u32,
             ) -> Attempt {
                 if attempt == 0 {
-                    Attempt::Fail { after: nominal.div_int(4) }
+                    Attempt::Fail {
+                        after: nominal.div_int(4),
+                    }
                 } else {
                     Attempt::Complete
                 }
@@ -250,7 +255,8 @@ mod tests {
             .task("b", Time::from_int(2), 1)
             .task("c", Time::from_int(3), 1)
             .build(8);
-        let result = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut asap());
+        let result =
+            engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut asap());
         for p in result.schedule.placements() {
             assert_eq!(p.start, Time::ZERO);
         }

@@ -1,10 +1,12 @@
 //! Baseline scheduler edge cases.
 
-use rigid_baselines::{asap, ListScheduler, OfflineBatch, OfflineList, Optimal, Priority, ShelfScheduler};
+use rigid_baselines::{
+    asap, ListScheduler, OfflineBatch, OfflineList, Optimal, Priority, ShelfScheduler,
+};
 use rigid_dag::gen::{erdos_dag, independent, TaskSampler};
 use rigid_dag::{DagBuilder, Instance, StaticSource, TaskGraph, TaskSpec};
-use rigid_sim::offline::run_offline;
 use rigid_sim::engine;
+use rigid_sim::offline::run_offline;
 use rigid_time::Time;
 
 #[test]
@@ -34,9 +36,7 @@ fn fifo_ties_are_stable() {
 #[test]
 fn optimal_respects_node_limit() {
     let inst = erdos_dag(1, 9, 0.1, &TaskSampler::default_mix(), 4);
-    let result = std::panic::catch_unwind(|| {
-        Optimal { node_limit: 3 }.makespan(&inst)
-    });
+    let result = std::panic::catch_unwind(|| Optimal { node_limit: 3 }.makespan(&inst));
     assert!(result.is_err(), "a 3-node budget must blow up");
 }
 

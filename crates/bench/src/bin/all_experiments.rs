@@ -11,14 +11,18 @@ fn main() -> ExitCode {
     // Lazy: each experiment runs only once the previous report is
     // written, so a closed stdout stops the suite at its first failed
     // write.
-    rigid_sim::write_stdout(rigid_bench::experiments::all().into_iter().map(|(id, runner)| {
-        let report = runner();
-        if save {
-            let path = format!("results/{id}.txt");
-            if let Err(e) = fs::write(&path, &report) {
-                eprintln!("warning: could not save {path}: {e}");
-            }
-        }
-        format!("######## {id} ########\n{report}\n")
-    }))
+    rigid_sim::write_stdout(
+        rigid_bench::experiments::all()
+            .into_iter()
+            .map(|(id, runner)| {
+                let report = runner();
+                if save {
+                    let path = format!("results/{id}.txt");
+                    if let Err(e) = fs::write(&path, &report) {
+                        eprintln!("warning: could not save {path}: {e}");
+                    }
+                }
+                format!("######## {id} ########\n{report}\n")
+            }),
+    )
 }

@@ -40,14 +40,23 @@ fn parse(argv: &[String]) -> Result<Option<Args>, String> {
     if argv.is_empty() {
         return Ok(None);
     }
-    let mut config = HuntConfig { n: 8, procs: 4, steps: 400, restarts: 16, seed_base: 100 };
+    let mut config = HuntConfig {
+        n: 8,
+        procs: 4,
+        steps: 400,
+        restarts: 16,
+        seed_base: 100,
+    };
     let mut journal = None;
     let mut resume = false;
     let mut shard = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
-        let mut value =
-            |flag: &str| it.next().cloned().ok_or_else(|| format!("{flag} needs a value"));
+        let mut value = |flag: &str| {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
         match arg.as_str() {
             "--n" => config.n = value("--n")?.parse().map_err(|_| "bad --n value")?,
             "--procs" => {
@@ -57,8 +66,9 @@ fn parse(argv: &[String]) -> Result<Option<Args>, String> {
                 config.steps = value("--steps")?.parse().map_err(|_| "bad --steps value")?
             }
             "--restarts" => {
-                config.restarts =
-                    value("--restarts")?.parse().map_err(|_| "bad --restarts value")?
+                config.restarts = value("--restarts")?
+                    .parse()
+                    .map_err(|_| "bad --restarts value")?
             }
             "--seed" => {
                 config.seed_base = value("--seed")?.parse().map_err(|_| "bad --seed value")?
@@ -67,8 +77,7 @@ fn parse(argv: &[String]) -> Result<Option<Args>, String> {
             "--resume" => resume = true,
             "--shard" => {
                 shard = Some(
-                    ShardSpec::parse(&value("--shard")?)
-                        .map_err(|e| format!("--shard: {e}"))?,
+                    ShardSpec::parse(&value("--shard")?).map_err(|e| format!("--shard: {e}"))?,
                 )
             }
             "--help" | "-h" => return Err(USAGE.to_string()),
@@ -87,7 +96,12 @@ fn parse(argv: &[String]) -> Result<Option<Args>, String> {
     let Some(journal) = journal else {
         return Err("campaign mode needs --journal PATH (each shard writes its own file)".into());
     };
-    Ok(Some(Args { config, journal, resume, shard }))
+    Ok(Some(Args {
+        config,
+        journal,
+        resume,
+        shard,
+    }))
 }
 
 fn campaign(args: &Args) -> Result<String, String> {
@@ -130,9 +144,12 @@ fn campaign(args: &Args) -> Result<String, String> {
     out.push_str(&format!("replayed       : {}\n", outcome.replayed));
     for t in &outcome.trials {
         match t.inflation(rigid_time::Time::ONE) {
-            Some(r) => {
-                out.push_str(&format!("seed {:>6}: ratio {} ({:.4})\n", t.seed, r, r.to_f64()))
-            }
+            Some(r) => out.push_str(&format!(
+                "seed {:>6}: ratio {} ({:.4})\n",
+                t.seed,
+                r,
+                r.to_f64()
+            )),
             None => out.push_str(&format!("seed {:>6}: FAILED\n", t.seed)),
         }
     }

@@ -21,9 +21,8 @@ use rigid_time::Time;
 
 /// E17 — batch-barrier ablation.
 pub fn ablation_barrier() -> String {
-    let mut out = String::from(
-        "== E17: barrier ablation — CatBatch vs backfill vs work-conserving ==\n",
-    );
+    let mut out =
+        String::from("== E17: barrier ablation — CatBatch vs backfill vs work-conserving ==\n");
     let contenders = [
         Sched::CatBatch,
         Sched::CatBatchBackfill,
@@ -88,9 +87,8 @@ pub fn ablation_barrier() -> String {
 
 /// E18 — robustness of CatBatch to execution-time estimation error.
 pub fn ablation_estimates() -> String {
-    let mut out = String::from(
-        "== E18: estimate robustness — CatBatch with ±noise% length estimates ==\n",
-    );
+    let mut out =
+        String::from("== E18: estimate robustness — CatBatch with ±noise% length estimates ==\n");
     let mut table = Table::new(&["noise", "mean ratio", "worst ratio", "runs"]);
     for pct in [0u32, 5, 10, 20, 40, 80] {
         let results = ordered_map((400..408u64).collect(), default_jobs(), |_, seed| {

@@ -96,12 +96,19 @@ pub fn compare_schedulers() -> String {
 pub fn strip_packing() -> String {
     let mut out = String::from("== E16 / Remark 1: online strip packing with precedence ==\n");
     let mut table = Table::new(&[
-        "workload", "n", "height(cb-strip)", "height(cb)", "Lb", "strip/cb", "valid?",
+        "workload",
+        "n",
+        "height(cb-strip)",
+        "height(cb)",
+        "Lb",
+        "strip/cb",
+        "valid?",
     ]);
     let sampler = TaskSampler::default_mix();
     for (name, inst) in family(777, 120, &sampler, 16) {
         let mut strip = rigid_strip::CatBatchStrip::new(inst.procs());
-        let result = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut strip);
+        let result =
+            engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut strip);
         result.schedule.assert_valid(&inst);
         strip.packing().assert_valid();
         let cb = Sched::CatBatch.run(&inst).makespan();

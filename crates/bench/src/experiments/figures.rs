@@ -19,7 +19,14 @@ pub fn fig01_intro() -> String {
     let mut out = String::from("== E01 / Figure 1: intro example (ASAP trap) ==\n");
     let eps = Time::from_ratio(1, 100);
     let mut table = Table::new(&[
-        "P", "n", "Lb", "T_opt*", "T_asap", "T_catbatch", "asap/opt", "cb/opt",
+        "P",
+        "n",
+        "Lb",
+        "T_opt*",
+        "T_asap",
+        "T_catbatch",
+        "asap/opt",
+        "cb/opt",
     ]);
     for p in [4u32, 8, 16, 32] {
         let inst = intro_example(p, eps);
@@ -129,7 +136,9 @@ pub fn fig03_attributes() -> String {
         assert_eq!(row.category.value(), Time::from_ratio(*zn, *zd));
     }
     out.push_str("check: all 11 rows match the paper's table exactly ✓\n");
-    out.push_str("\nASAP schedule with unbounded processors (criticalities, Figure 3 bottom-left):\n");
+    out.push_str(
+        "\nASAP schedule with unbounded processors (criticalities, Figure 3 bottom-left):\n",
+    );
     out.push_str(&render_criticalities(
         inst.graph(),
         &GanttOptions {
@@ -161,7 +170,9 @@ pub fn fig04_lengths() -> String {
     }
     out.push_str(&table.render());
     let total = d.total_category_length();
-    out.push_str(&format!("Σ L_ζ = {total} (paper: 6.8+4+2+2+1+0.8 = 16.6)\n"));
+    out.push_str(&format!(
+        "Σ L_ζ = {total} (paper: 6.8+4+2+2+1+0.8 = 16.6)\n"
+    ));
     assert_eq!(total, Time::from_millis(16, 600));
     out
 }
@@ -191,7 +202,14 @@ pub fn fig06_catbatch_run() -> String {
     let result = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut cb);
     result.schedule.assert_valid(&inst);
 
-    let mut table = Table::new(&["batch ζ", "tasks", "start", "finish", "span", "lemma6 bound"]);
+    let mut table = Table::new(&[
+        "batch ζ",
+        "tasks",
+        "start",
+        "finish",
+        "span",
+        "lemma6 bound",
+    ]);
     let cpath = analysis::critical_path(inst.graph());
     for b in cb.batch_history() {
         let labels: Vec<&str> = b
@@ -242,8 +260,7 @@ pub fn fig06_catbatch_run() -> String {
 /// E07 — Figure 7: the L* matrix under task-length bounds m = 0.9,
 /// M = 2.3 (Reduced / Unchanged / Impossible rows).
 pub fn fig07_lstar() -> String {
-    let mut out =
-        String::from("== E07 / Figure 7: L* matrix for C = 6.8, m = 0.9, M = 2.3 ==\n");
+    let mut out = String::from("== E07 / Figure 7: L* matrix for C = 6.8, m = 0.9, M = 2.3 ==\n");
     let m = LMatrix::new(Time::from_millis(6, 800));
     let (lo, hi) = (Time::from_millis(0, 900), Time::from_millis(2, 300));
     let mut rows_text = String::new();

@@ -57,7 +57,13 @@ pub fn fig08_xgraph() -> String {
 pub fn fig09_ygraph() -> String {
     let mut out = String::from("== E09 / Figure 9: Y^i_P(K) and Lemma 9 ==\n");
     let mut table = Table::new(&[
-        "P", "K", "i", "n", "Lemma9 formula", "constructive", "full util?",
+        "P",
+        "K",
+        "i",
+        "n",
+        "Lemma9 formula",
+        "constructive",
+        "full util?",
     ]);
     for (p, k, i) in [(4u32, 2u32, 1u32), (3, 2, 0), (3, 3, 1), (5, 2, 2)] {
         let params = GadgetParams::new(p, k, Time::from_ratio(1, 16 * p as i64));
@@ -90,7 +96,15 @@ pub fn fig09_ygraph() -> String {
 pub fn fig10_zgraph() -> String {
     let mut out = String::from("== E10 / Figure 10: the adaptive adversary Z^Alg_P(K) ==\n");
     let mut table = Table::new(&[
-        "P", "K", "n", "alg", "T_alg", "Lemma10", "witness", "Lemma11", "T_alg/witness",
+        "P",
+        "K",
+        "n",
+        "alg",
+        "T_alg",
+        "Lemma10",
+        "witness",
+        "Lemma11",
+        "T_alg/witness",
     ]);
     let schedulers = [
         Sched::List(Priority::Fifo),

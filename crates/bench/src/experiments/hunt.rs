@@ -60,7 +60,8 @@ impl Genome {
     /// The exact competitive ratio `T_CatBatch / T_opt`.
     fn ratio_exact(&self) -> Rational {
         let inst = self.instantiate();
-        let cb = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new())
+        let cb = engine::EngineConfig::new()
+            .run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new())
             .makespan();
         let opt = Optimal {
             node_limit: 3_000_000,
@@ -252,17 +253,30 @@ pub fn hunt_campaign(
     .map_err(|e| e.to_string())?;
 
     // With a baseline of 1, inflation *is* the exact competitive ratio.
-    let best = run.trials.iter().filter_map(|t| t.inflation(Time::ONE)).max();
-    Ok(HuntOutcome { trials: run.trials, best, executed: run.executed, replayed: run.replayed })
+    let best = run
+        .trials
+        .iter()
+        .filter_map(|t| t.inflation(Time::ONE))
+        .max();
+    Ok(HuntOutcome {
+        trials: run.trials,
+        best,
+        executed: run.executed,
+        replayed: run.replayed,
+    })
 }
 
 /// E21 — the hunt report.
 pub fn worst_case_hunt() -> String {
-    let mut out = String::from(
-        "== E21: worst-case hunt — hill-climbing tiny instances vs exact OPT ==\n",
-    );
+    let mut out =
+        String::from("== E21: worst-case hunt — hill-climbing tiny instances vs exact OPT ==\n");
     let mut table = Table::new(&[
-        "n", "P", "restarts", "steps", "best true ratio", "Theorem 1 bound",
+        "n",
+        "P",
+        "restarts",
+        "steps",
+        "best true ratio",
+        "Theorem 1 bound",
     ]);
     let jobs: Vec<(usize, u32, u64)> = vec![(5, 2, 1), (6, 3, 2), (7, 3, 3), (8, 4, 4), (9, 4, 5)];
     for (n, p, base_seed) in jobs {
@@ -314,7 +328,13 @@ mod tests {
     }
 
     fn small_config() -> HuntConfig {
-        HuntConfig { n: 5, procs: 2, steps: 8, restarts: 4, seed_base: 900 }
+        HuntConfig {
+            n: 5,
+            procs: 2,
+            steps: 8,
+            restarts: 4,
+            seed_base: 900,
+        }
     }
 
     fn temp(tag: &str) -> std::path::PathBuf {
@@ -384,7 +404,10 @@ mod tests {
         let path = temp("foreign");
         let _ = std::fs::remove_file(&path);
         hunt_campaign(&small_config(), Some(&path), false, None, || false).expect("serial hunt");
-        let other = HuntConfig { steps: 9, ..small_config() };
+        let other = HuntConfig {
+            steps: 9,
+            ..small_config()
+        };
         let err = hunt_campaign(&other, Some(&path), true, None, || false)
             .expect_err("different step budget must not resume");
         assert!(err.contains("scenario"), "{err}");

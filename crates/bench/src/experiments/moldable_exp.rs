@@ -3,7 +3,9 @@
 //! moldable lower bound.
 
 use crate::harness::{f3, Table};
-use rigid_moldable::{schedule_online, AllocRule, InnerSched, MoldableBuilder, MoldableInstance, SpeedupModel};
+use rigid_moldable::{
+    schedule_online, AllocRule, InnerSched, MoldableBuilder, MoldableInstance, SpeedupModel,
+};
 use rigid_time::{Rational, Time};
 
 /// Builds a random layered moldable instance (deterministic per seed):
@@ -61,13 +63,19 @@ pub fn random_moldable(seed: u64, layers: usize, width: usize, procs: u32) -> Mo
 
 /// E19 — allocation × scheduler table on random moldable ensembles.
 pub fn moldable_catbatch() -> String {
-    let mut out = String::from(
-        "== E19 / §7 extension: moldable task graphs via categories ==\n",
-    );
-    let rules = [AllocRule::MinTime, AllocRule::HalfEfficient, AllocRule::Sequential];
+    let mut out = String::from("== E19 / §7 extension: moldable task graphs via categories ==\n");
+    let rules = [
+        AllocRule::MinTime,
+        AllocRule::HalfEfficient,
+        AllocRule::Sequential,
+    ];
     let inners = [InnerSched::CatBatch, InnerSched::Backfill, InnerSched::Asap];
     let mut table = Table::new(&[
-        "allocation", "inner", "mean ratio to moldable LB", "worst", "runs",
+        "allocation",
+        "inner",
+        "mean ratio to moldable LB",
+        "worst",
+        "runs",
     ]);
     for rule in rules {
         for inner in inners {

@@ -18,11 +18,15 @@ use rigid_time::Time;
 /// E11 — Theorem 1: worst observed `T_CatBatch/Lb` over random DAG
 /// families, swept over the task count `n`, against `log₂(n) + 3`.
 pub fn thm1_ratio_n() -> String {
-    let mut out = String::from(
-        "== E11 / Theorem 1: CatBatch ratio vs log2(n)+3 over random ensembles ==\n",
-    );
+    let mut out =
+        String::from("== E11 / Theorem 1: CatBatch ratio vs log2(n)+3 over random ensembles ==\n");
     let mut table = Table::new(&[
-        "n", "bound", "worst cb", "mean cb", "worst list-fifo", "families×seeds",
+        "n",
+        "bound",
+        "worst cb",
+        "mean cb",
+        "worst list-fifo",
+        "families×seeds",
     ]);
     let seeds: Vec<u64> = (0..6).collect();
     for n in [8usize, 32, 128, 512, 2048] {
@@ -67,9 +71,8 @@ pub fn thm1_ratio_n() -> String {
 /// E12 — Theorem 2: worst observed ratio against `log₂(M/m) + 6`,
 /// sweeping the length spread `M/m` with log-uniform lengths.
 pub fn thm2_ratio_mm() -> String {
-    let mut out = String::from(
-        "== E12 / Theorem 2: CatBatch ratio vs log2(M/m)+6, sweeping M/m ==\n",
-    );
+    let mut out =
+        String::from("== E12 / Theorem 2: CatBatch ratio vs log2(M/m)+6, sweeping M/m ==\n");
     let mut table = Table::new(&["M/m", "bound", "worst cb", "mean cb", "runs"]);
     for spread_log2 in [0u32, 2, 4, 6, 8, 10] {
         let m_len = 1.0f64;

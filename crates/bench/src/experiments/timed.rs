@@ -50,9 +50,8 @@ fn timed_lower_bound(jobs: &[(Time, TaskSpec)], procs: u32) -> Time {
 
 /// E20 — greedy list scheduling under release times.
 pub fn timed_releases() -> String {
-    let mut out = String::from(
-        "== E20 / §2.3 regime: independent rigid tasks with release times ==\n",
-    );
+    let mut out =
+        String::from("== E20 / §2.3 regime: independent rigid tasks with release times ==\n");
     let mut table = Table::new(&["burstiness", "n", "P", "mean ratio", "worst ratio", "runs"]);
     for burst in [1u64, 2, 4] {
         let mut sum = 0.0;

@@ -39,8 +39,8 @@ use rigid_baselines::Priority;
 use rigid_dag::gen::{self, LengthDist, ProcDist, TaskSampler};
 use rigid_dag::{analysis, paper, Instance, ReleasedTask, StaticSource, TaskId};
 use rigid_sim::{engine, reference, OnlineScheduler, RunResult};
-use rigid_time::Time;
 use rigid_supervise::journal::{self, Journal, JournalError, JournalWriter};
+use rigid_time::Time;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -488,7 +488,9 @@ fn run_scenario(sc: &Scenario) -> ScenarioResult {
     let full = {
         let mut source = StaticSource::new(inst.clone());
         let mut sched = sc.sched.build(inst.procs());
-        engine::EngineConfig::new().scratch(&mut scratch).run(&mut source, sched.as_mut())
+        engine::EngineConfig::new()
+            .scratch(&mut scratch)
+            .run(&mut source, sched.as_mut())
     };
     full.schedule.assert_valid(&inst);
     let (wall_ms, timed) = time_median(
@@ -496,17 +498,32 @@ fn run_scenario(sc: &Scenario) -> ScenarioResult {
         sc.reps,
         || sc.sched.build(inst.procs()),
         |src, sched| {
-            engine::EngineConfig::new().stats_only().scratch(&mut scratch).run(src, sched)
+            engine::EngineConfig::new()
+                .stats_only()
+                .scratch(&mut scratch)
+                .run(src, sched)
         },
     );
     // The stats-only runs must be the same simulation as the validated
     // full run — identical counters, decision for decision.
-    assert_eq!(timed.stats, full.stats, "{}: stats-only run diverged", sc.name);
-    assert_eq!(timed.decisions, full.decisions, "{}: stats-only run diverged", sc.name);
+    assert_eq!(
+        timed.stats, full.stats,
+        "{}: stats-only run diverged",
+        sc.name
+    );
+    assert_eq!(
+        timed.decisions, full.decisions,
+        "{}: stats-only run diverged",
+        sc.name
+    );
     // Static sources hint their exact task count, so the pre-sized
     // scratch must never grow mid-run; and a finished run has returned
     // every queued event.
-    assert_eq!(full.stats.hint_misses, 0, "{}: scratch grew mid-run", sc.name);
+    assert_eq!(
+        full.stats.hint_misses, 0,
+        "{}: scratch grew mid-run",
+        sc.name
+    );
     assert_eq!(
         full.stats.queue_pushes, full.stats.queue_pops,
         "{}: events left in the queue",
@@ -695,7 +712,10 @@ pub fn run_journaled(
             Some(writer)
         }
         Some(path) => {
-            let header = BenchJournalHeader { schema: JOURNAL_SCHEMA.to_string(), quick };
+            let header = BenchJournalHeader {
+                schema: JOURNAL_SCHEMA.to_string(),
+                quick,
+            };
             Some(JournalWriter::create(path, &header).map_err(|e| format!("bench {e}"))?)
         }
         None => None,
@@ -742,7 +762,9 @@ pub fn run_journaled(
             .find(|sc| sc.name == REFERENCE_SCENARIO)
             .map(run_reference_comparison);
         if let Some(rc) = &rc {
-            record(BenchRecord::Reference { comparison: rc.clone() })?;
+            record(BenchRecord::Reference {
+                comparison: rc.clone(),
+            })?;
         }
         rc
     };
@@ -926,7 +948,9 @@ mod tests {
 
     /// The report of a run without a journal.
     fn run(quick: bool, jobs: usize) -> BenchReport {
-        super::run_journaled(quick, None, false, jobs).expect("no journal to fail").report
+        super::run_journaled(quick, None, false, jobs)
+            .expect("no journal to fail")
+            .report
     }
 
     /// [`super::run_journaled`] with a journal file.
@@ -963,7 +987,12 @@ mod tests {
             assert_eq!(p.hint_misses, 0, "{}: scratch grew mid-run", r.name);
             // Static, fault-free scenarios: one decision at time zero and
             // one per completion cohort.
-            assert_eq!(p.decide_calls, p.batches + 1, "{}: not one decide per instant", r.name);
+            assert_eq!(
+                p.decide_calls,
+                p.batches + 1,
+                "{}: not one decide per instant",
+                r.name
+            );
             if r.name.starts_with("rand-") {
                 // The generators snap every task length onto the 2^-20
                 // dyadic grid, so no event timestamp ever leaves the
@@ -974,7 +1003,11 @@ mod tests {
         // The paper's Figure 3 uses decimal task lengths (2.8, 0.6, …)
         // that are off the dyadic grid by construction — its events
         // exercise the exact-`Rational` overflow path.
-        let fig3 = report.scenarios.iter().find(|r| r.name == "fig3-catbatch").unwrap();
+        let fig3 = report
+            .scenarios
+            .iter()
+            .find(|r| r.name == "fig3-catbatch")
+            .unwrap();
         assert!(
             fig3.profile.rational_fallbacks > 0,
             "fig3 must hit the rational overflow heap"
@@ -993,7 +1026,11 @@ mod tests {
         let swept: Vec<String> = report.scenarios.iter().map(|r| r.name.clone()).collect();
         assert_eq!(swept, serial_names, "parallel sweep must keep matrix order");
         for r in &report.scenarios {
-            assert!(r.events > 0 && r.wall_ms > 0.0, "{}: bad measurement", r.name);
+            assert!(
+                r.events > 0 && r.wall_ms > 0.0,
+                "{}: bad measurement",
+                r.name
+            );
         }
     }
 
@@ -1085,8 +1122,12 @@ mod tests {
         assert_eq!(third.replayed, 2);
         assert_eq!(third.executed, scenarios(true).len() - 2);
         let matrix_names: Vec<&str> = scenarios(true).iter().map(|s| s.name).collect();
-        let reported: Vec<String> =
-            third.report.scenarios.iter().map(|r| r.name.clone()).collect();
+        let reported: Vec<String> = third
+            .report
+            .scenarios
+            .iter()
+            .map(|r| r.name.clone())
+            .collect();
         assert_eq!(reported, matrix_names);
 
         // The quick-tier journal must not be mixed into a full-tier run.
@@ -1132,7 +1173,10 @@ mod tests {
         let resumed = run_journaled(true, &path, true, 1).expect("resume over garbled line");
         assert_eq!(resumed.executed, 1);
         let repaired = std::fs::read_to_string(&path).unwrap();
-        assert!(!repaired.contains("GARBLED"), "the garbled line is truncated away");
+        assert!(
+            !repaired.contains("GARBLED"),
+            "the garbled line is truncated away"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -303,10 +303,7 @@ USAGE:
   catbatch help
 ";
 
-fn take_value<'a>(
-    flag: &str,
-    it: &mut impl Iterator<Item = &'a str>,
-) -> Result<String, String> {
+fn take_value<'a>(flag: &str, it: &mut impl Iterator<Item = &'a str>) -> Result<String, String> {
     it.next()
         .map(str::to_string)
         .ok_or_else(|| format!("{flag} needs a value"))
@@ -643,7 +640,14 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
             }
             // Fail on a bad plan here, not after the listener binds.
             rigid_serve::ChaosPlan::parse(&plan).map_err(|e| e.to_string())?;
-            Ok(Command::ChaosProxy { listen, listen_tcp, upstream, upstream_tcp, seed, plan })
+            Ok(Command::ChaosProxy {
+                listen,
+                listen_tcp,
+                upstream,
+                upstream_tcp,
+                seed,
+                plan,
+            })
         }
         Some("verify") => {
             let file = it.next().ok_or("verify needs an instance file")?;
@@ -680,8 +684,7 @@ mod tests {
 
     #[test]
     fn parses_schedule() {
-        let c = parse_args(&["schedule", "w.rigid", "--scheduler", "backfill", "--gantt"])
-            .unwrap();
+        let c = parse_args(&["schedule", "w.rigid", "--scheduler", "backfill", "--gantt"]).unwrap();
         assert_eq!(
             c,
             Command::Schedule {
@@ -734,8 +737,19 @@ mod tests {
         );
         assert_eq!(
             parse_args(&[
-                "bench", "--json", "--quick", "--out", "b.json", "--check", "base.json",
-                "--journal", "j.jsonl", "--resume", "--jobs", "4", "--profile",
+                "bench",
+                "--json",
+                "--quick",
+                "--out",
+                "b.json",
+                "--check",
+                "base.json",
+                "--journal",
+                "j.jsonl",
+                "--resume",
+                "--jobs",
+                "4",
+                "--profile",
             ])
             .unwrap(),
             Command::Bench {
@@ -772,12 +786,25 @@ mod tests {
     #[test]
     fn parses_faults_supervision_flags() {
         let c = parse_args(&[
-            "faults", "w.rigid", "--journal", "j.jsonl", "--resume", "--watchdog-ms", "5000",
-            "--max-events", "1000000",
+            "faults",
+            "w.rigid",
+            "--journal",
+            "j.jsonl",
+            "--resume",
+            "--watchdog-ms",
+            "5000",
+            "--max-events",
+            "1000000",
         ])
         .unwrap();
         match c {
-            Command::Faults { journal, resume, watchdog_ms, max_events, .. } => {
+            Command::Faults {
+                journal,
+                resume,
+                watchdog_ms,
+                max_events,
+                ..
+            } => {
                 assert_eq!(journal.as_deref(), Some("j.jsonl"));
                 assert!(resume);
                 assert_eq!(watchdog_ms, Some(5_000));
@@ -791,8 +818,15 @@ mod tests {
 
     #[test]
     fn parses_and_validates_shard() {
-        match parse_args(&["faults", "w.rigid", "--journal", "j.jsonl", "--shard", "2/8"])
-            .unwrap()
+        match parse_args(&[
+            "faults",
+            "w.rigid",
+            "--journal",
+            "j.jsonl",
+            "--shard",
+            "2/8",
+        ])
+        .unwrap()
         {
             Command::Faults { shard, .. } => {
                 assert_eq!(shard, Some(ShardSpec { index: 2, count: 8 }))
@@ -816,11 +850,18 @@ mod tests {
     #[test]
     fn parses_chaos_hook_but_keeps_it_out_of_usage() {
         match parse_args(&[
-            "faults", "w.rigid", "--journal", "j", "--chaos-exit-after", "7",
+            "faults",
+            "w.rigid",
+            "--journal",
+            "j",
+            "--chaos-exit-after",
+            "7",
         ])
         .unwrap()
         {
-            Command::Faults { chaos_exit_after, .. } => assert_eq!(chaos_exit_after, Some(7)),
+            Command::Faults {
+                chaos_exit_after, ..
+            } => assert_eq!(chaos_exit_after, Some(7)),
             other => panic!("expected Faults, got {other:?}"),
         }
         assert!(parse_args(&["faults", "w.rigid", "--chaos-exit-after", "x"]).is_err());
@@ -839,7 +880,10 @@ mod tests {
                 out: "m.jsonl".into(),
             }
         );
-        assert!(parse_args(&["merge", "--out", "m.jsonl"]).is_err(), "no inputs");
+        assert!(
+            parse_args(&["merge", "--out", "m.jsonl"]).is_err(),
+            "no inputs"
+        );
         assert!(parse_args(&["merge", "a.jsonl"]).is_err(), "no --out");
         assert!(parse_args(&["merge", "a.jsonl", "--frob"]).is_err());
     }
@@ -861,13 +905,34 @@ mod tests {
             }
         );
         match parse_args(&[
-            "serve", "--bind", "/tmp/s.sock", "--workers", "8", "--queue-depth", "16",
-            "--journal", "j.jsonl", "--watchdog-ms", "2000", "--max-events", "500000",
-            "--retries", "2",
+            "serve",
+            "--bind",
+            "/tmp/s.sock",
+            "--workers",
+            "8",
+            "--queue-depth",
+            "16",
+            "--journal",
+            "j.jsonl",
+            "--watchdog-ms",
+            "2000",
+            "--max-events",
+            "500000",
+            "--retries",
+            "2",
         ])
         .unwrap()
         {
-            Command::Serve { bind, workers, queue_depth, journal, watchdog_ms, max_events, retries, .. } => {
+            Command::Serve {
+                bind,
+                workers,
+                queue_depth,
+                journal,
+                watchdog_ms,
+                max_events,
+                retries,
+                ..
+            } => {
                 assert_eq!(bind, "/tmp/s.sock");
                 assert_eq!(workers, 8);
                 assert_eq!(queue_depth, 16);
@@ -892,8 +957,18 @@ mod tests {
     fn parses_loadgen() {
         match parse_args(&["loadgen"]).unwrap() {
             Command::Loadgen {
-                bind, clients, jobs, n, procs, scheduler, seed, window, shutdown,
-                read_timeout_ms, max_attempts, ..
+                bind,
+                clients,
+                jobs,
+                n,
+                procs,
+                scheduler,
+                seed,
+                window,
+                shutdown,
+                read_timeout_ms,
+                max_attempts,
+                ..
             } => {
                 assert_eq!(bind, "catbatch.sock");
                 assert_eq!((clients, jobs, n, procs), (4, 25, 100, 16));
@@ -907,13 +982,32 @@ mod tests {
             other => panic!("expected Loadgen, got {other:?}"),
         }
         match parse_args(&[
-            "loadgen", "--clients", "2", "--jobs", "50", "--scheduler", "backfill",
-            "--window", "8", "--shutdown", "--read-timeout-ms", "500", "--max-attempts", "3",
+            "loadgen",
+            "--clients",
+            "2",
+            "--jobs",
+            "50",
+            "--scheduler",
+            "backfill",
+            "--window",
+            "8",
+            "--shutdown",
+            "--read-timeout-ms",
+            "500",
+            "--max-attempts",
+            "3",
         ])
         .unwrap()
         {
             Command::Loadgen {
-                clients, jobs, scheduler, window, shutdown, read_timeout_ms, max_attempts, ..
+                clients,
+                jobs,
+                scheduler,
+                window,
+                shutdown,
+                read_timeout_ms,
+                max_attempts,
+                ..
             } => {
                 assert_eq!((clients, jobs, window), (2, 50, 8));
                 assert_eq!(scheduler, "backfill");
@@ -932,7 +1026,14 @@ mod tests {
     #[test]
     fn parses_chaos_proxy() {
         match parse_args(&["chaos-proxy"]).unwrap() {
-            Command::ChaosProxy { listen, listen_tcp, upstream, upstream_tcp, seed, plan } => {
+            Command::ChaosProxy {
+                listen,
+                listen_tcp,
+                upstream,
+                upstream_tcp,
+                seed,
+                plan,
+            } => {
                 assert_eq!(listen, "catbatch-chaos.sock");
                 assert_eq!(listen_tcp, None);
                 assert_eq!(upstream, "catbatch.sock");
@@ -943,12 +1044,25 @@ mod tests {
             other => panic!("expected ChaosProxy, got {other:?}"),
         }
         match parse_args(&[
-            "chaos-proxy", "--listen", "c.sock", "--upstream-tcp", "127.0.0.1:7070",
-            "--seed", "7", "--plan", "delay=1..5ms, reset=200..400",
+            "chaos-proxy",
+            "--listen",
+            "c.sock",
+            "--upstream-tcp",
+            "127.0.0.1:7070",
+            "--seed",
+            "7",
+            "--plan",
+            "delay=1..5ms, reset=200..400",
         ])
         .unwrap()
         {
-            Command::ChaosProxy { listen, upstream_tcp, seed, plan, .. } => {
+            Command::ChaosProxy {
+                listen,
+                upstream_tcp,
+                seed,
+                plan,
+                ..
+            } => {
                 assert_eq!(listen, "c.sock");
                 assert_eq!(upstream_tcp.as_deref(), Some("127.0.0.1:7070"));
                 assert_eq!(seed, 7);
@@ -982,23 +1096,40 @@ mod tests {
             (
                 "faults",
                 &[
-                    "--seed", "--trials", "--fail", "--straggle", "--retries", "--watchdog-ms",
-                    "--max-events", "--jobs", "--chaos-exit-after",
+                    "--seed",
+                    "--trials",
+                    "--fail",
+                    "--straggle",
+                    "--retries",
+                    "--watchdog-ms",
+                    "--max-events",
+                    "--jobs",
+                    "--chaos-exit-after",
                 ],
             ),
             ("bench", &["--jobs"]),
             (
                 "serve",
                 &[
-                    "--max-sessions", "--workers", "--queue-depth", "--watchdog-ms",
-                    "--max-events", "--retries",
+                    "--max-sessions",
+                    "--workers",
+                    "--queue-depth",
+                    "--watchdog-ms",
+                    "--max-events",
+                    "--retries",
                 ],
             ),
             (
                 "loadgen",
                 &[
-                    "--read-timeout-ms", "--max-attempts", "--clients", "--jobs", "--n",
-                    "--procs", "--seed", "--window",
+                    "--read-timeout-ms",
+                    "--max-attempts",
+                    "--clients",
+                    "--jobs",
+                    "--n",
+                    "--procs",
+                    "--seed",
+                    "--window",
                 ],
             ),
             ("chaos-proxy", &["--seed"]),

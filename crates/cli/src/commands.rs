@@ -187,7 +187,10 @@ pub fn run_command(
     }
 }
 
-fn load(path: &str, read_file: &dyn Fn(&str) -> Result<String, String>) -> Result<Instance, String> {
+fn load(
+    path: &str,
+    read_file: &dyn Fn(&str) -> Result<String, String>,
+) -> Result<Instance, String> {
     let text = read_file(path)?;
     format::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
@@ -204,7 +207,8 @@ fn schedule_cmd(
 ) -> Result<String, String> {
     let mut sched = rigid_serve::scheduler_by_name(scheduler, inst.procs()).expect(NAME_VALIDATED);
     let name = sched.name();
-    let result = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), sched.as_mut());
+    let result =
+        engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), sched.as_mut());
     let violations = result.schedule.validate(inst);
     if !violations.is_empty() {
         return Err(format!("internal error: invalid schedule {violations:?}"));
@@ -297,8 +301,10 @@ fn faults_cmd(
             watchdog: watchdog_ms.map(std::time::Duration::from_millis),
             ..SupervisorPolicy::default()
         },
-        budget: max_events
-            .map_or(rigid_sim::RunBudget::UNLIMITED, rigid_sim::RunBudget::max_events),
+        budget: max_events.map_or(
+            rigid_sim::RunBudget::UNLIMITED,
+            rigid_sim::RunBudget::max_events,
+        ),
         journal: journal.map(std::path::PathBuf::from),
         resume,
         jobs,
@@ -320,19 +326,22 @@ fn faults_cmd(
         }
         token.interrupted()
     };
-    let outcome = run_campaign(
-        inst,
-        &config,
-        &seeds,
-        &options,
-        stop,
-        move || build_fault_scheduler(&scheduler, procs, retries),
-    )
+    let outcome = run_campaign(inst, &config, &seeds, &options, stop, move || {
+        build_fault_scheduler(&scheduler, procs, retries)
+    })
     .map_err(|e| e.to_string())?;
     report_throughput(outcome.executed, jobs, started.elapsed());
 
     let mut out = render_campaign(
-        name, inst, &config, seed, trials, fail, straggle, retries, &outcome.stats,
+        name,
+        inst,
+        &config,
+        seed,
+        trials,
+        fail,
+        straggle,
+        retries,
+        &outcome.stats,
     );
     out.push_str(&format!(
         "executed       : {}\nreplayed       : {}\n",
@@ -361,8 +370,7 @@ fn faults_cmd(
 /// file replays through `faults ... --journal PATH --resume` into the
 /// byte-identical single-process report.
 fn merge_cmd(inputs: &[String], out: &str) -> Result<String, String> {
-    let paths: Vec<std::path::PathBuf> =
-        inputs.iter().map(std::path::PathBuf::from).collect();
+    let paths: Vec<std::path::PathBuf> = inputs.iter().map(std::path::PathBuf::from).collect();
     let report = rigid_supervise::merge_shards(&paths, std::path::Path::new(out))
         .map_err(|e| e.to_string())?;
     let mut text = format!(
@@ -472,10 +480,7 @@ fn analyze_cmd(inst: &Instance) -> String {
     out.push_str("attribute table (paper Definitions 1-3):\n");
     out.push_str(&render_attribute_table(&attribute_table(inst)));
     let d = decompose(inst);
-    out.push_str(&format!(
-        "\ncategory batches ({}):\n",
-        d.batch_count()
-    ));
+    out.push_str(&format!("\ncategory batches ({}):\n", d.batch_count()));
     for (cat, tasks) in &d.categories {
         out.push_str(&format!(
             "  ζ = {:<8} L_ζ = {:<8} {} task(s)\n",
@@ -497,7 +502,13 @@ fn generate_cmd(family: &str, n: usize, procs: u32, seed: u64) -> Result<String,
         "series_parallel" => gen::series_parallel(seed, n, &sampler, procs),
         "out_tree" => gen::out_tree(seed, n, 3, &sampler, procs),
         "in_tree" => gen::in_tree(seed, n, 3, &sampler, procs),
-        "chains" => gen::chains(seed, width.max(1), n.div_ceil(width).max(1), &sampler, procs),
+        "chains" => gen::chains(
+            seed,
+            width.max(1),
+            n.div_ceil(width).max(1),
+            &sampler,
+            procs,
+        ),
         "independent" => gen::independent(seed, n, &sampler, procs),
         other => return Err(format!("unknown family {other:?}")),
     };
@@ -553,8 +564,8 @@ fn bench_cmd(
                  (or point --check at an existing report)"
             )
         })?;
-        let baseline: rigid_bench::perf::BenchReport = serde_json::from_str(&base_text)
-            .map_err(|e| {
+        let baseline: rigid_bench::perf::BenchReport =
+            serde_json::from_str(&base_text).map_err(|e| {
                 format!(
                     "{base_path}: not a {} report: {e}\n\
                      regenerate it with `catbatch bench --json --out {base_path}`",
@@ -731,8 +742,8 @@ mod tests {
 
     #[test]
     fn loadgen_command_against_a_live_daemon() {
-        let sock = std::env::temp_dir()
-            .join(format!("catbatch-cli-loadgen-{}.sock", std::process::id()));
+        let sock =
+            std::env::temp_dir().join(format!("catbatch-cli-loadgen-{}.sock", std::process::id()));
         let _ = std::fs::remove_file(&sock);
         let daemon = rigid_serve::Daemon::start(rigid_serve::ServeOptions {
             bind: rigid_serve::Bind::Unix(sock.clone()),
@@ -741,8 +752,18 @@ mod tests {
         })
         .expect("daemon starts");
         let cmd = parse_args(&[
-            "loadgen", "--bind", sock.to_str().unwrap(), "--clients", "2", "--jobs", "3",
-            "--n", "30", "--scheduler", "list-fifo", "--shutdown",
+            "loadgen",
+            "--bind",
+            sock.to_str().unwrap(),
+            "--clients",
+            "2",
+            "--jobs",
+            "3",
+            "--n",
+            "30",
+            "--scheduler",
+            "list-fifo",
+            "--shutdown",
         ])
         .unwrap();
         let out = run_command(&cmd, &fs).unwrap();
@@ -802,7 +823,10 @@ mod tests {
             .rfind(|l| l.starts_with("rand-layered-n1000"))
             .expect("profile row for rand-layered-n1000");
         let cols: Vec<&str> = rand_row.split_whitespace().collect();
-        assert_eq!(cols[3], "0", "rational fallbacks on a pure-dyadic scenario: {rand_row}");
+        assert_eq!(
+            cols[3], "0",
+            "rational fallbacks on a pure-dyadic scenario: {rand_row}"
+        );
         // Without --profile the counter table is absent.
         let plain = run_command(&parse_args(&["bench", "--quick"]).unwrap(), &fs).unwrap();
         assert!(!plain.contains("rat_fb"), "{plain}");
@@ -810,10 +834,12 @@ mod tests {
 
     #[test]
     fn bench_check_rejects_bad_baseline() {
-        let cmd =
-            parse_args(&["bench", "--quick", "--check", "sample.rigid"]).unwrap();
+        let cmd = parse_args(&["bench", "--quick", "--check", "sample.rigid"]).unwrap();
         let err = run_command(&cmd, &fs).unwrap_err();
-        assert!(err.contains("not a catbatch-bench-engine/v1.4 report"), "{err}");
+        assert!(
+            err.contains("not a catbatch-bench-engine/v1.4 report"),
+            "{err}"
+        );
         assert!(err.contains("catbatch bench --json --out"), "{err}");
     }
 
@@ -862,10 +888,8 @@ mod tests {
             "chains",
             "independent",
         ] {
-            let cmd = parse_args(&[
-                "generate", "--family", family, "--n", "15", "--procs", "4",
-            ])
-            .unwrap();
+            let cmd =
+                parse_args(&["generate", "--family", family, "--n", "15", "--procs", "4"]).unwrap();
             let out = run_command(&cmd, &fs).unwrap();
             assert!(
                 rigid_dag::format::parse(&out).is_ok(),
@@ -876,8 +900,17 @@ mod tests {
 
     #[test]
     fn faults_command_reports_campaign() {
-        let cmd = parse_args(&["faults", "sample.rigid", "--seed", "7", "--trials", "4", "--fail", "500"])
-            .unwrap();
+        let cmd = parse_args(&[
+            "faults",
+            "sample.rigid",
+            "--seed",
+            "7",
+            "--trials",
+            "4",
+            "--fail",
+            "500",
+        ])
+        .unwrap();
         let out = run_command(&cmd, &fs).unwrap();
         assert!(out.contains("fault campaign : catbatch"));
         assert!(out.contains("trials         : 4 (seeds 7..10)"));
@@ -903,8 +936,16 @@ mod tests {
         // reports carry real fault text that depends on the seed.
         let base = |seed: &str| {
             let cmd = parse_args(&[
-                "faults", "sample.rigid", "--scheduler", "list-fifo", "--seed", seed,
-                "--fail", "800", "--trials", "3",
+                "faults",
+                "sample.rigid",
+                "--scheduler",
+                "list-fifo",
+                "--seed",
+                seed,
+                "--fail",
+                "800",
+                "--trials",
+                "3",
             ])
             .unwrap();
             run_command(&cmd, &fs).unwrap()
@@ -940,7 +981,13 @@ mod tests {
 
         let second = run_command(
             &parse_args(&[
-                "faults", "sample.rigid", "--trials", "4", "--journal", &p, "--resume",
+                "faults",
+                "sample.rigid",
+                "--trials",
+                "4",
+                "--journal",
+                &p,
+                "--resume",
             ])
             .unwrap(),
             &fs,
@@ -952,7 +999,10 @@ mod tests {
         // The replayed per-seed lines are byte-identical to the run that
         // produced them.
         let seed_lines = |s: &str| -> Vec<String> {
-            s.lines().filter(|l| l.starts_with("seed ")).map(String::from).collect()
+            s.lines()
+                .filter(|l| l.starts_with("seed "))
+                .map(String::from)
+                .collect()
         };
         assert_eq!(seed_lines(&first), seed_lines(&second));
         let _ = std::fs::remove_file(&path);
@@ -964,20 +1014,35 @@ mod tests {
         // never-tripping event budget changes nothing in the report.
         let plain = run_command(&parse_args(&["faults", "sample.rigid"]).unwrap(), &fs).unwrap();
         let supervised = run_command(
-            &parse_args(&["faults", "sample.rigid", "--max-events", "18446744073709551615"])
-                .unwrap(),
+            &parse_args(&[
+                "faults",
+                "sample.rigid",
+                "--max-events",
+                "18446744073709551615",
+            ])
+            .unwrap(),
             &fs,
         )
         .unwrap();
         assert_eq!(plain, supervised);
-        assert!(plain.contains("executed       : 5\nreplayed       : 0\n"), "{plain}");
+        assert!(
+            plain.contains("executed       : 5\nreplayed       : 0\n"),
+            "{plain}"
+        );
     }
 
     #[test]
     fn faults_event_budget_records_typed_trial_errors() {
         let out = run_command(
-            &parse_args(&["faults", "sample.rigid", "--max-events", "1", "--trials", "3"])
-                .unwrap(),
+            &parse_args(&[
+                "faults",
+                "sample.rigid",
+                "--max-events",
+                "1",
+                "--trials",
+                "3",
+            ])
+            .unwrap(),
             &fs,
         )
         .unwrap();
@@ -1070,7 +1135,12 @@ mod tests {
         let canon_s = canon.to_string_lossy().to_string();
         let canonical = run_command(
             &parse_args(&[
-                "faults", "sample.rigid", "--trials", "7", "--journal", &canon_s,
+                "faults",
+                "sample.rigid",
+                "--trials",
+                "7",
+                "--journal",
+                &canon_s,
             ])
             .unwrap(),
             &fs,
@@ -1083,8 +1153,14 @@ mod tests {
             let spec = format!("{}/3", i + 1);
             let out = run_command(
                 &parse_args(&[
-                    "faults", "sample.rigid", "--trials", "7", "--journal", &p,
-                    "--shard", &spec,
+                    "faults",
+                    "sample.rigid",
+                    "--trials",
+                    "7",
+                    "--journal",
+                    &p,
+                    "--shard",
+                    &spec,
                 ])
                 .unwrap(),
                 &fs,
@@ -1093,8 +1169,10 @@ mod tests {
             assert!(out.contains("shard          :"), "{out}");
         }
 
-        let shard_args: Vec<String> =
-            shards.iter().map(|p| p.to_string_lossy().to_string()).collect();
+        let shard_args: Vec<String> = shards
+            .iter()
+            .map(|p| p.to_string_lossy().to_string())
+            .collect();
         let merged_s = merged.to_string_lossy().to_string();
         let mut argv = vec!["merge".to_string()];
         argv.extend(shard_args);
@@ -1113,7 +1191,12 @@ mod tests {
         );
         let replay = run_command(
             &parse_args(&[
-                "faults", "sample.rigid", "--trials", "7", "--journal", &merged_s,
+                "faults",
+                "sample.rigid",
+                "--trials",
+                "7",
+                "--journal",
+                &merged_s,
                 "--resume",
             ])
             .unwrap(),
@@ -1123,7 +1206,10 @@ mod tests {
         assert!(replay.contains("executed       : 0"), "{replay}");
         assert!(replay.contains("replayed       : 7"), "{replay}");
         let seed_lines = |s: &str| -> Vec<String> {
-            s.lines().filter(|l| l.starts_with("seed ")).map(String::from).collect()
+            s.lines()
+                .filter(|l| l.starts_with("seed "))
+                .map(String::from)
+                .collect()
         };
         assert_eq!(seed_lines(&canonical), seed_lines(&replay));
 

@@ -83,7 +83,10 @@ pub fn decompose(instance: &Instance) -> Decomposition {
             .push(id);
     }
     let critical_path = crit.iter().map(|c| c.finish).max().unwrap_or(Time::ZERO);
-    Decomposition { categories, critical_path }
+    Decomposition {
+        categories,
+        critical_path,
+    }
 }
 
 /// The Lemma 7 makespan bound for CatBatch:
@@ -94,7 +97,9 @@ pub fn lemma7_bound(instance: &Instance) -> Time {
     let critical_path = crit.iter().map(|c| c.finish).max().unwrap_or(Time::ZERO);
     let categories: BTreeSet<Category> = crit.iter().map(category_of).collect();
     let area = rigid_dag::analysis::area(instance.graph());
-    let lengths = categories.into_iter().map(|cat| category_length(cat, critical_path));
+    let lengths = categories
+        .into_iter()
+        .map(|cat| category_length(cat, critical_path));
     area.mul_int(2).div_int(instance.procs() as i64) + lengths.sum::<Time>()
 }
 

@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn matches_offline_computation() {
         // Online tracking must agree with the offline DP on a diamond.
-        use rigid_dag::{DagBuilder, analysis};
+        use rigid_dag::{analysis, DagBuilder};
         let inst = DagBuilder::new()
             .task("a", Time::from_millis(1, 500), 1)
             .task("b", Time::from_int(2), 1)

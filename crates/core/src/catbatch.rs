@@ -176,10 +176,7 @@ impl OnlineScheduler for CatBatch {
     }
 
     fn on_complete(&mut self, task: TaskId, now: Time) {
-        let cur = self
-            .current
-            .as_mut()
-            .expect("completion outside any batch");
+        let cur = self.current.as_mut().expect("completion outside any batch");
         debug_assert!(cur.all.contains(&task), "completed {task} not in batch");
         assert!(cur.running > 0, "completion underflow");
         cur.running -= 1;
@@ -251,10 +248,7 @@ impl OnlineScheduler for CatBatch {
         // the batch that started it, which cannot have closed while the
         // attempt ran. It will be restarted by a later decision, and the
         // batch barrier holds until it finally completes.
-        let cur = self
-            .current
-            .as_mut()
-            .expect("failure outside any batch");
+        let cur = self.current.as_mut().expect("failure outside any batch");
         debug_assert!(cur.all.contains(&task), "failed {task} not in batch");
         assert!(cur.running > 0, "failure underflow");
         cur.running -= 1;
@@ -310,8 +304,7 @@ mod tests {
             .batch_history()
             .iter()
             .map(|b| {
-                let mut v: Vec<&str> =
-                    b.tasks.iter().map(|&id| g.spec(id).label_str()).collect();
+                let mut v: Vec<&str> = b.tasks.iter().map(|&id| g.spec(id).label_str()).collect();
                 v.sort();
                 v
             })
@@ -429,7 +422,9 @@ mod tests {
                 _procs: u32,
             ) -> Attempt {
                 if attempt == 0 {
-                    Attempt::Fail { after: nominal.div_int(2) }
+                    Attempt::Fail {
+                        after: nominal.div_int(2),
+                    }
                 } else {
                     Attempt::Complete
                 }
@@ -493,7 +488,9 @@ mod tests {
                 nominal: Time,
                 _procs: u32,
             ) -> Attempt {
-                Attempt::Fail { after: nominal.div_int(2) }
+                Attempt::Fail {
+                    after: nominal.div_int(2),
+                }
             }
         }
 
@@ -502,7 +499,10 @@ mod tests {
             .build(2);
         let mut src = StaticSource::new(inst);
         let mut cb = CatBatch::new().with_retry_budget(2);
-        let err = EngineConfig::new().faults(&mut AlwaysFails).try_run(&mut src, &mut cb).unwrap_err();
+        let err = EngineConfig::new()
+            .faults(&mut AlwaysFails)
+            .try_run(&mut src, &mut cb)
+            .unwrap_err();
         match err {
             RunError::TaskAbandoned { attempts, .. } => assert_eq!(attempts, 3),
             other => panic!("expected TaskAbandoned, got {other:?}"),
@@ -527,7 +527,9 @@ mod tests {
                 _procs: u32,
             ) -> Attempt {
                 if attempt == 0 {
-                    Attempt::Fail { after: nominal.div_int(2) }
+                    Attempt::Fail {
+                        after: nominal.div_int(2),
+                    }
                 } else {
                     Attempt::Complete
                 }
@@ -539,7 +541,10 @@ mod tests {
             .build(1);
         let mut src = StaticSource::new(inst);
         let mut cb = CatBatch::new();
-        let err = EngineConfig::new().faults(&mut FailOnce).try_run(&mut src, &mut cb).unwrap_err();
+        let err = EngineConfig::new()
+            .faults(&mut FailOnce)
+            .try_run(&mut src, &mut cb)
+            .unwrap_err();
         assert!(matches!(err, RunError::TaskAbandoned { attempts: 1, .. }));
     }
 
@@ -552,10 +557,7 @@ mod tests {
         let mut cb = CatBatch::new();
         let _ = engine::EngineConfig::new().run(&mut src, &mut cb);
         let b = g.find_by_label("B").unwrap();
-        assert_eq!(
-            cb.category_of_task(b).unwrap().value(),
-            Time::from_int(1)
-        );
+        assert_eq!(cb.category_of_task(b).unwrap().value(), Time::from_int(1));
         let j = g.find_by_label("J").unwrap();
         assert_eq!(
             cb.category_of_task(j).unwrap().value(),

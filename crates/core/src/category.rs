@@ -96,7 +96,11 @@ impl Ord for Category {
         // Compare λ·2^χ without materializing huge numbers: align exponents.
         // λ1·2^χ1 ? λ2·2^χ2  ⇔  λ1·2^(χ1−χ2) ? λ2 (for χ1 ≥ χ2).
         let (a, b) = (self, other);
-        let (hi, lo, swap) = if a.chi >= b.chi { (a, b, false) } else { (b, a, true) };
+        let (hi, lo, swap) = if a.chi >= b.chi {
+            (a, b, false)
+        } else {
+            (b, a, true)
+        };
         let shift = (hi.chi - lo.chi) as u32;
         let ord = if shift >= 64 {
             // hi's value is at least 2^64 times λ_hi ≥ huge; strictly
@@ -108,7 +112,11 @@ impl Ord for Category {
                 None => Ordering::Greater,
             }
         };
-        if swap { ord.reverse() } else { ord }
+        if swap {
+            ord.reverse()
+        } else {
+            ord
+        }
     }
 }
 
@@ -422,8 +430,14 @@ mod tests {
         for (s, f) in cases {
             let c = compute_category(s, f);
             let p = c.pow2();
-            assert!(p.grid_point(c.lambda - 1) <= s, "left bracket for ({s},{f})");
-            assert!(f <= p.grid_point(c.lambda + 1), "right bracket for ({s},{f})");
+            assert!(
+                p.grid_point(c.lambda - 1) <= s,
+                "left bracket for ({s},{f})"
+            );
+            assert!(
+                f <= p.grid_point(c.lambda + 1),
+                "right bracket for ({s},{f})"
+            );
         }
     }
 }

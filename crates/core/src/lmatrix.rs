@@ -278,12 +278,12 @@ mod tests {
         let c = Time::from_millis(6, 800);
         let t = Time::from_millis;
         let cases = [
-            (Category::new(2, 1), t(6, 800)),  // ζ=4 (A, E, I)
-            (Category::new(1, 1), t(4, 0)),    // ζ=2 (C, D)
-            (Category::new(0, 1), t(2, 0)),    // ζ=1 (B)
-            (Category::new(0, 5), t(2, 0)),    // ζ=5 (H, K)
-            (Category::new(-1, 7), t(1, 0)),   // ζ=3.5 (F, G)
-            (Category::new(-1, 13), t(0, 800)),// ζ=6.5 (J)
+            (Category::new(2, 1), t(6, 800)),   // ζ=4 (A, E, I)
+            (Category::new(1, 1), t(4, 0)),     // ζ=2 (C, D)
+            (Category::new(0, 1), t(2, 0)),     // ζ=1 (B)
+            (Category::new(0, 5), t(2, 0)),     // ζ=5 (H, K)
+            (Category::new(-1, 7), t(1, 0)),    // ζ=3.5 (F, G)
+            (Category::new(-1, 13), t(0, 800)), // ζ=6.5 (J)
         ];
         for (cat, expect) in cases {
             assert_eq!(category_length(cat, c), expect, "L_ζ for {cat:?}");
@@ -400,9 +400,7 @@ mod tests {
     fn bound_functions() {
         assert!((theorem1_ratio_bound(8) - 6.0).abs() < 1e-12);
         assert!((theorem1_coefficient(1) - 1.0).abs() < 1e-12);
-        assert!(
-            (theorem2_ratio_bound(Time::ONE, Time::from_int(4)) - 8.0).abs() < 1e-12
-        );
+        assert!((theorem2_ratio_bound(Time::ONE, Time::from_int(4)) - 8.0).abs() < 1e-12);
         assert!(ratio_within(Rational::new(3, 1), 3.0));
         assert!(!ratio_within(Rational::new(31, 10), 3.0));
     }

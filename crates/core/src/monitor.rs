@@ -280,7 +280,8 @@ mod tests {
             inner: CatBatch::new(),
             monitor: GuaranteeMonitor::new(inst.procs()),
         };
-        let result = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut sched);
+        let result =
+            engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut sched);
         let bound = sched.monitor.conditional_makespan_bound().unwrap();
         assert!(result.makespan() <= bound);
         // After full revelation the monitor agrees with the offline view.
@@ -345,7 +346,9 @@ mod tests {
                 _procs: u32,
             ) -> Attempt {
                 if attempt == 0 {
-                    Attempt::Fail { after: nominal.div_int(2) }
+                    Attempt::Fail {
+                        after: nominal.div_int(2),
+                    }
                 } else {
                     Attempt::Complete
                 }
@@ -370,10 +373,7 @@ mod tests {
         // adjusted bound adds exactly 2·(A/2)/P = A/P.
         let area = sched.monitor.revealed_area();
         assert_eq!(report.wasted_area, area.div_int(2));
-        assert_eq!(
-            report.bound_inflation(),
-            Some(area.div_int(4 /* P */))
-        );
+        assert_eq!(report.bound_inflation(), Some(area.div_int(4 /* P */)));
         // The adjusted bound still dominates the degraded run here.
         assert!(result.makespan() <= report.inflated_bound.unwrap());
         let text = format!("{report}");
@@ -421,7 +421,8 @@ mod tests {
                 inner: CatBatch::new(),
                 monitor: GuaranteeMonitor::new(8),
             };
-            let result = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut sched);
+            let result =
+                engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut sched);
             let bound = sched.monitor.conditional_makespan_bound().unwrap();
             assert!(result.makespan() <= bound, "seed {seed}");
             let ratio = result

@@ -73,7 +73,7 @@ fn bounded_length_with_degenerate_bounds() {
     assert_eq!(l, Time::from_int(2)); // L_ζ = 2 here
     let l2 = category_length_bounded(cat, c, Time::from_int(3), Time::from_int(3));
     assert_eq!(l2, Time::ZERO); // L_ζ = 2 < m = 3
-    // Category at or past C has zero length regardless.
+                                // Category at or past C has zero length regardless.
     let past = Category::new(4, 1); // ζ = 16 > C
     assert_eq!(category_length(past, c), Time::ZERO);
 }

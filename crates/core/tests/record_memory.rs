@@ -91,12 +91,18 @@ fn full_recording_catbatch_run_peaks_below_450_bytes_per_task() {
     let per_task = (PEAK.load(Relaxed) - base) as f64 / n as f64;
 
     assert_eq!(run.schedule.len(), n);
-    assert!(per_task < 450.0, "{per_task:.0} B/task at the peak over {n} tasks");
+    assert!(
+        per_task < 450.0,
+        "{per_task:.0} B/task at the peak over {n} tasks"
+    );
 
     let base = LIVE.load(Relaxed);
     PEAK.store(base, Relaxed);
     let violations = run.schedule.validate(&inst);
     let per_task = (PEAK.load(Relaxed) - base) as f64 / n as f64;
     assert!(violations.is_empty(), "{violations:?}");
-    assert!(per_task < 40.0, "validate peaked {per_task:.1} B/task above the result");
+    assert!(
+        per_task < 40.0,
+        "validate peaked {per_task:.1} B/task above the result"
+    );
 }

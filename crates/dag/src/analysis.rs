@@ -107,7 +107,10 @@ impl InstanceStats {
 /// undefined).
 pub fn stats(instance: &Instance) -> InstanceStats {
     let graph = instance.graph();
-    assert!(!graph.is_empty(), "stats of an empty instance are undefined");
+    assert!(
+        !graph.is_empty(),
+        "stats of an empty instance are undefined"
+    );
     let crit = criticalities(graph);
     let critical_path = crit
         .iter()

@@ -152,7 +152,10 @@ pub fn parse(text: &str) -> Result<Instance, ParseError> {
         let f = *ids.get(from).ok_or_else(|| unknown(from))?;
         let t = *ids.get(to).ok_or_else(|| unknown(to))?;
         if f == t {
-            return Err(err(lineno, format!("edge {from:?} -> {to:?} is a self-loop")));
+            return Err(err(
+                lineno,
+                format!("edge {from:?} -> {to:?} is a self-loop"),
+            ));
         }
         if graph.has_edge(f, t) {
             return Err(err(lineno, format!("duplicate edge {from:?} -> {to:?}")));
@@ -306,8 +309,14 @@ mod tests {
 
     #[test]
     fn negative_and_zero_times_are_typed_errors() {
-        assert!(parse("procs 2\ntask A -1 1\n").unwrap_err().message.contains("positive"));
-        assert!(parse("procs 2\ntask A 0 1\n").unwrap_err().message.contains("positive"));
+        assert!(parse("procs 2\ntask A -1 1\n")
+            .unwrap_err()
+            .message
+            .contains("positive"));
+        assert!(parse("procs 2\ntask A 0 1\n")
+            .unwrap_err()
+            .message
+            .contains("positive"));
     }
 
     #[test]

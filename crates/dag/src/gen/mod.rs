@@ -64,7 +64,13 @@ pub fn layered(
 /// An Erdős–Rényi-style random DAG on `n` tasks: tasks are ordered
 /// `0..n`, and each forward pair `(i, j)`, `i < j`, carries an edge with
 /// probability `edge_prob`.
-pub fn erdos_dag(seed: u64, n: usize, edge_prob: f64, sampler: &TaskSampler, procs: u32) -> Instance {
+pub fn erdos_dag(
+    seed: u64,
+    n: usize,
+    edge_prob: f64,
+    sampler: &TaskSampler,
+    procs: u32,
+) -> Instance {
     assert!((0.0..=1.0).contains(&edge_prob));
     let mut rng = seeded_rng(seed);
     let mut g = TaskGraph::new();
@@ -210,7 +216,13 @@ pub fn series_parallel(seed: u64, n_target: usize, sampler: &TaskSampler, procs:
 
 /// An out-tree: every task except the root has exactly one predecessor;
 /// each task spawns up to `branching` children until `n` tasks exist.
-pub fn out_tree(seed: u64, n: usize, branching: usize, sampler: &TaskSampler, procs: u32) -> Instance {
+pub fn out_tree(
+    seed: u64,
+    n: usize,
+    branching: usize,
+    sampler: &TaskSampler,
+    procs: u32,
+) -> Instance {
     assert!(n >= 1 && branching >= 1);
     let mut rng = seeded_rng(seed);
     let mut g = TaskGraph::new();
@@ -230,7 +242,13 @@ pub fn out_tree(seed: u64, n: usize, branching: usize, sampler: &TaskSampler, pr
 
 /// An in-tree (reduction tree): the reverse of [`out_tree`] — many leaves
 /// funnel into one final task.
-pub fn in_tree(seed: u64, n: usize, branching: usize, sampler: &TaskSampler, procs: u32) -> Instance {
+pub fn in_tree(
+    seed: u64,
+    n: usize,
+    branching: usize,
+    sampler: &TaskSampler,
+    procs: u32,
+) -> Instance {
     let out = out_tree(seed, n, branching, sampler, procs);
     // Reverse all edges.
     let g_out = out.graph();
@@ -282,7 +300,12 @@ pub fn independent(seed: u64, n: usize, sampler: &TaskSampler, procs: u32) -> In
 
 /// Names and constructors of the whole generator family, for sweep
 /// harnesses that want "one of each shape".
-pub fn family(seed: u64, n: usize, sampler: &TaskSampler, procs: u32) -> Vec<(&'static str, Instance)> {
+pub fn family(
+    seed: u64,
+    n: usize,
+    sampler: &TaskSampler,
+    procs: u32,
+) -> Vec<(&'static str, Instance)> {
     fn side(n: usize) -> usize {
         ((n as f64).sqrt().round() as usize).max(1)
     }
@@ -292,8 +315,14 @@ pub fn family(seed: u64, n: usize, sampler: &TaskSampler, procs: u32) -> Vec<(&'
             "layered",
             layered(seed, n.div_ceil(width).max(1), width, sampler, procs),
         ),
-        ("erdos_sparse", erdos_dag(seed, n, (2.0 / n as f64).min(1.0), sampler, procs)),
-        ("erdos_dense", erdos_dag(seed, n, (8.0 / n as f64).min(1.0), sampler, procs)),
+        (
+            "erdos_sparse",
+            erdos_dag(seed, n, (2.0 / n as f64).min(1.0), sampler, procs),
+        ),
+        (
+            "erdos_dense",
+            erdos_dag(seed, n, (8.0 / n as f64).min(1.0), sampler, procs),
+        ),
         (
             "fork_join",
             fork_join(seed, n.div_ceil(width + 2).max(1), width, sampler, procs),

@@ -49,12 +49,7 @@ pub fn wavefront_2d(
 
 /// A blocked *triangular* wavefront (e.g. a blocked Cholesky-style sweep):
 /// only cells with `j ≤ i` exist, same north/west dependencies.
-pub fn wavefront_triangular(
-    seed: u64,
-    rows: usize,
-    sampler: &TaskSampler,
-    procs: u32,
-) -> Instance {
+pub fn wavefront_triangular(seed: u64, rows: usize, sampler: &TaskSampler, procs: u32) -> Instance {
     assert!(rows >= 1);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut g = TaskGraph::new();

@@ -58,7 +58,7 @@ pub use task::{TaskId, TaskSpec};
 mod prop_tests {
     use super::*;
     use crate::analysis::criticalities;
-    use crate::gen::{TaskSampler, erdos_dag};
+    use crate::gen::{erdos_dag, TaskSampler};
     use proptest::prelude::*;
 
     proptest! {

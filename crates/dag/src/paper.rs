@@ -102,14 +102,12 @@ pub fn figure3() -> Instance {
 }
 
 /// The labels of the Figure 3 tasks in table order.
-pub const FIGURE3_LABELS: [&str; 11] = [
-    "A", "B", "C", "D", "E", "F", "G", "H", "I", "J", "K",
-];
+pub const FIGURE3_LABELS: [&str; 11] = ["A", "B", "C", "D", "E", "F", "G", "H", "I", "J", "K"];
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{criticalities, critical_path, stats};
+    use crate::analysis::{critical_path, criticalities, stats};
 
     #[test]
     fn intro_example_counts() {

@@ -65,7 +65,12 @@ pub trait InstanceSource {
     /// global rank of this completion event (ties broken by the engine),
     /// which adaptive adversaries use to identify the *last* task
     /// finishing in a layer.
-    fn on_complete_into(&mut self, task: TaskId, completion_index: u64, out: &mut Vec<ReleasedTask>);
+    fn on_complete_into(
+        &mut self,
+        task: TaskId,
+        completion_index: u64,
+        out: &mut Vec<ReleasedTask>,
+    );
 
     /// Returns `true` if the source still holds tasks that have not been
     /// released. Used by the engine to detect a stalled run (a source bug
@@ -201,10 +206,7 @@ impl InstanceSource for TimedSource {
     }
 
     fn next_timed_release(&self, now: Time) -> Option<Time> {
-        self.pending
-            .iter()
-            .map(|&(t, _)| t)
-            .find(|&t| t > now)
+        self.pending.iter().map(|&(t, _)| t).find(|&t| t > now)
     }
 
     fn task_count_hint(&self) -> Option<usize> {

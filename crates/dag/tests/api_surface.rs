@@ -50,10 +50,7 @@ fn length_distributions_statistics() {
     let mut rng = gen::seeded_rng(17);
     // Uniform [1, 3]: sample mean near 2.
     let d = LengthDist::Uniform { min: 1.0, max: 3.0 };
-    let mean: f64 = (0..2_000)
-        .map(|_| d.sample(&mut rng).to_f64())
-        .sum::<f64>()
-        / 2_000.0;
+    let mean: f64 = (0..2_000).map(|_| d.sample(&mut rng).to_f64()).sum::<f64>() / 2_000.0;
     assert!((mean - 2.0).abs() < 0.1, "uniform mean {mean}");
     // Choice picks only given values.
     let choices = vec![Time::ONE, Time::from_int(4)];

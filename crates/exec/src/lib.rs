@@ -337,7 +337,9 @@ impl<T> ScratchPool<T> {
     /// Create an empty pool.
     #[must_use]
     pub fn new() -> Self {
-        ScratchPool { free: Mutex::new(Vec::new()) }
+        ScratchPool {
+            free: Mutex::new(Vec::new()),
+        }
     }
 
     /// Check out a buffer (creating one with `make` if none is free), run
@@ -398,7 +400,10 @@ impl<T> ReorderBuffer<T> {
     /// Wrap a receiver of `(index, value)` pairs.
     #[must_use]
     pub fn new(receiver: Receiver<(usize, T)>) -> Self {
-        ReorderBuffer { pending: BTreeMap::new(), receiver }
+        ReorderBuffer {
+            pending: BTreeMap::new(),
+            receiver,
+        }
     }
 
     /// Wait up to `poll` for result `index`. Results for other indices are
@@ -536,7 +541,11 @@ mod tests {
                 _ => panic!("job must complete"),
             }
         }
-        assert_eq!(pool.spawned_threads(), 2, "recovered workers must be reused");
+        assert_eq!(
+            pool.spawned_threads(),
+            2,
+            "recovered workers must be reused"
+        );
     }
 
     /// Daemon regression: a burst of overlapping jobs grows the pool,
@@ -555,7 +564,10 @@ mod tests {
             let (done_tx, done_rx) = channel::<()>();
             let outcome = pool.run(
                 move || {
-                    let _ = rx.lock().expect("release lock").recv_timeout(Duration::from_secs(10));
+                    let _ = rx
+                        .lock()
+                        .expect("release lock")
+                        .recv_timeout(Duration::from_secs(10));
                     drop(done_tx);
                 },
                 Duration::from_millis(10),
@@ -619,7 +631,11 @@ mod tests {
                 |buf| buf.push(1),
             );
         }
-        assert_eq!(makes.load(Ordering::Relaxed), 1, "serial use needs one buffer");
+        assert_eq!(
+            makes.load(Ordering::Relaxed),
+            1,
+            "serial use needs one buffer"
+        );
         assert_eq!(pool.idle_buffers(), 1);
     }
 

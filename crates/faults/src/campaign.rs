@@ -155,9 +155,9 @@ impl CampaignStats {
         if ratios.is_empty() {
             return None;
         }
-        let sum = ratios
-            .iter()
-            .fold(Rational::ZERO, |acc, r| acc.checked_add(r).expect("sum fits"));
+        let sum = ratios.iter().fold(Rational::ZERO, |acc, r| {
+            acc.checked_add(r).expect("sum fits")
+        });
         sum.checked_div(&Rational::from_int(ratios.len() as i64))
     }
 }
@@ -177,7 +177,14 @@ pub fn run_trial(
     budget: RunBudget,
     scheduler: &mut dyn OnlineScheduler,
 ) -> TrialStats {
-    run_trial_reusing(instance, config, seed, budget, scheduler, &mut EngineScratch::new())
+    run_trial_reusing(
+        instance,
+        config,
+        seed,
+        budget,
+        scheduler,
+        &mut EngineScratch::new(),
+    )
 }
 
 /// [`run_trial`] with caller-owned [`EngineScratch`] so campaigns
@@ -251,7 +258,10 @@ mod tests {
             .iter()
             .map(|&seed| run_trial(&inst, config, seed, RunBudget::UNLIMITED, &mut make()))
             .collect();
-        CampaignStats { fault_free_makespan, trials }
+        CampaignStats {
+            fault_free_makespan,
+            trials,
+        }
     }
 
     fn fig3_campaign(budget: u32) -> CampaignStats {
@@ -320,7 +330,9 @@ mod tests {
         let poisoned = TrialStats::without_faults(
             9,
             8,
-            Err(TrialError::Panicked { message: "boom".into() }),
+            Err(TrialError::Panicked {
+                message: "boom".into(),
+            }),
         );
         let json = serde_json::to_string(&poisoned).unwrap();
         assert_eq!(serde_json::from_str::<TrialStats>(&json).unwrap(), poisoned);

@@ -83,7 +83,11 @@ impl FaultConfig {
     /// Adds a capacity dip window.
     pub fn with_dip(mut self, from: Time, until: Time, capacity: u32) -> Self {
         assert!(from < until, "empty dip window");
-        self.dips.push(CapacityDip { from, until, capacity });
+        self.dips.push(CapacityDip {
+            from,
+            until,
+            capacity,
+        });
         self
     }
 
@@ -210,15 +214,7 @@ mod tests {
     fn draw_sequence(seed: u64, config: FaultConfig, n: usize) -> Vec<Attempt> {
         let mut inj = FaultInjector::new(seed, config);
         (0..n)
-            .map(|i| {
-                inj.on_start(
-                    TaskId(i as u32),
-                    0,
-                    Time::ZERO,
-                    Time::from_int(10),
-                    1,
-                )
-            })
+            .map(|i| inj.on_start(TaskId(i as u32), 0, Time::ZERO, Time::from_int(10), 1))
             .collect()
     }
 

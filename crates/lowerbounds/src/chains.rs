@@ -65,11 +65,7 @@ pub fn append_chain(graph: &mut TaskGraph, params: &GadgetParams, i: u32) -> Vec
     let mut ids = Vec::with_capacity(2 * pairs);
     let mut prev: Option<TaskId> = None;
     for pair in 0..pairs {
-        let blue = graph.add_task(
-            params
-                .blue(i)
-                .with_label(format!("L{i}b{pair}")),
-        );
+        let blue = graph.add_task(params.blue(i).with_label(format!("L{i}b{pair}")));
         if let Some(pv) = prev {
             graph.add_edge(pv, blue);
         }

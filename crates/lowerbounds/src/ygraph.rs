@@ -113,15 +113,17 @@ mod tests {
 
     #[test]
     fn lemma9_constructive_schedule_achieves_formula() {
-        for (p, k, i) in [(3u32, 2u32, 0u32), (3, 2, 1), (3, 2, 2), (4, 2, 1), (2, 3, 0)] {
+        for (p, k, i) in [
+            (3u32, 2u32, 0u32),
+            (3, 2, 1),
+            (3, 2, 2),
+            (4, 2, 1),
+            (2, 3, 0),
+        ] {
             let params = GadgetParams::new(p, k, Time::from_ratio(1, 64));
             let inst = y_graph(&params, i);
             let s = run_offline(&mut YOptimal, &inst);
-            assert_eq!(
-                s.makespan(),
-                lemma9_optimal(&params, i),
-                "Y^{i}_{p}({k})"
-            );
+            assert_eq!(s.makespan(), lemma9_optimal(&params, i), "Y^{i}_{p}({k})");
         }
     }
 

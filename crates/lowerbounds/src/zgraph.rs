@@ -152,11 +152,7 @@ impl ZAdversary {
         let mut now = Time::ZERO;
 
         // Identify each layer's pivot chain.
-        let pivot_chain_of_layer: Vec<u32> = self
-            .pivots
-            .iter()
-            .map(|t| self.locus[t].1)
-            .collect();
+        let pivot_chain_of_layer: Vec<u32> = self.pivots.iter().map(|t| self.locus[t].1).collect();
 
         // Phase 1: pivot chains of layers 0..layers−2, sequential.
         for layer in 0..self.layers.saturating_sub(1) {
@@ -171,9 +167,7 @@ impl ZAdversary {
         // Phase 2: remaining chains grouped by chain index.
         for i in 0..p {
             let group: Vec<&Vec<TaskId>> = (0..self.layers)
-                .filter(|&l| {
-                    !(l + 1 < self.layers && pivot_chain_of_layer[l as usize] == i)
-                })
+                .filter(|&l| !(l + 1 < self.layers && pivot_chain_of_layer[l as usize] == i))
                 .map(|l| &self.chains[l as usize][i as usize])
                 .collect();
             if group.is_empty() {
@@ -344,10 +338,7 @@ mod tests {
             let witness = adv.witness_schedule();
             witness.assert_valid(&adv.committed_instance());
             let ratio = result.makespan().ratio(witness.makespan()).to_f64();
-            assert!(
-                ratio > p as f64 / 4.0,
-                "P={p}: ratio {ratio} too small"
-            );
+            assert!(ratio > p as f64 / 4.0, "P={p}: ratio {ratio} too small");
         }
     }
 

@@ -68,7 +68,10 @@ fn z_lower_bounds_are_consistent() {
         // P/4 for these parameters.
         let floor = l10.ratio(l11).to_f64();
         assert!(floor < p as f64 / 2.0 + 1e-9);
-        assert!(floor > p as f64 / 4.0 - 1e-9, "floor {floor} for P={p},K={k}");
+        assert!(
+            floor > p as f64 / 4.0 - 1e-9,
+            "floor {floor} for P={p},K={k}"
+        );
     }
 }
 
@@ -93,10 +96,7 @@ fn adversary_graph_grows_layer_by_layer() {
     // Before running: nothing committed yet (initial not called).
     assert_eq!(adv.committed_instance().len(), 0);
     let _ = engine::EngineConfig::new().run(&mut adv, &mut asap());
-    assert_eq!(
-        adv.committed_instance().len(),
-        2 * x_task_count(&params)
-    );
+    assert_eq!(adv.committed_instance().len(), 2 * x_task_count(&params));
     assert_eq!(adv.pivots().len(), 2);
 }
 

@@ -108,12 +108,7 @@ impl MoldableInstance {
         let min_area: Time = self
             .models
             .iter()
-            .map(|m| {
-                (1..=self.procs)
-                    .map(|p| m.area(p))
-                    .min()
-                    .expect("P >= 1")
-            })
+            .map(|m| (1..=self.procs).map(|p| m.area(p)).min().expect("P >= 1"))
             .sum();
         // Critical path with the per-task minimum time.
         let min_time_alloc: Vec<u32> = self

@@ -54,9 +54,7 @@ impl SpeedupModel {
     pub fn time(&self, p: u32) -> Time {
         assert!(p >= 1, "allocation must be at least 1");
         match *self {
-            SpeedupModel::Roofline { work, max_par } => {
-                work.div_int(p.min(max_par.max(1)) as i64)
-            }
+            SpeedupModel::Roofline { work, max_par } => work.div_int(p.min(max_par.max(1)) as i64),
             SpeedupModel::Amdahl { work, seq_fraction } => {
                 let f = seq_fraction;
                 let par = (Rational::ONE - f)

@@ -69,7 +69,11 @@ fn lower_bound_never_exceeds_any_schedule() {
     for seed in 0..6u64 {
         let inst = rigid_bench_free_moldable(seed);
         let lb = inst.lower_bound();
-        for rule in [AllocRule::MinTime, AllocRule::HalfEfficient, AllocRule::Sequential] {
+        for rule in [
+            AllocRule::MinTime,
+            AllocRule::HalfEfficient,
+            AllocRule::Sequential,
+        ] {
             let r = schedule_online(&inst, rule, InnerSched::Asap);
             assert!(r.run.makespan() >= lb, "seed {seed} rule {:?}", rule);
         }

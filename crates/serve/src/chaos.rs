@@ -138,9 +138,9 @@ impl ChaosPlan {
                 .ok_or_else(|| PlanParseError(format!("`{part}` is not key=value")))?;
             match key {
                 "delay" => {
-                    let value = value.strip_suffix("ms").ok_or_else(|| {
-                        PlanParseError(format!("delay `{value}` must end in ms"))
-                    })?;
+                    let value = value
+                        .strip_suffix("ms")
+                        .ok_or_else(|| PlanParseError(format!("delay `{value}` must end in ms")))?;
                     plan.delay_ms = Some(parse_range(value, "delay")?);
                 }
                 "tear" => {
@@ -162,9 +162,9 @@ impl ChaosPlan {
                     let bytes: usize = bytes.parse().map_err(|_| {
                         PlanParseError(format!("trickle: bad byte count `{bytes}`"))
                     })?;
-                    let tick: u64 = tick.parse().map_err(|_| {
-                        PlanParseError(format!("trickle: bad tick `{tick}`"))
-                    })?;
+                    let tick: u64 = tick
+                        .parse()
+                        .map_err(|_| PlanParseError(format!("trickle: bad tick `{tick}`")))?;
                     if bytes == 0 {
                         return Err(PlanParseError("trickle=0/.. never progresses".into()));
                     }
@@ -307,7 +307,15 @@ impl ChaosChannel {
             .corrupt_ppm
             .map(|ppm| ((ppm as u64) * (u32::MAX as u64) / 1_000_000) as u32)
             .unwrap_or(0);
-        ChaosChannel { plan, rng, offset: 0, seg_left: 0, seg_pause_ms: 0, reset_at, corrupt_threshold }
+        ChaosChannel {
+            plan,
+            rng,
+            offset: 0,
+            seg_left: 0,
+            seg_pause_ms: 0,
+            reset_at,
+            corrupt_threshold,
+        }
     }
 
     /// Draws the next segment's length and pause. Draw order is fixed
@@ -469,9 +477,15 @@ impl ChaosProxy {
         let accept_counters = Arc::clone(&counters);
         let thread = std::thread::Builder::new()
             .name("chaos-accept".into())
-            .spawn(move || accept_loop(listener, upstream, seed, plan, accept_stop, accept_counters))
+            .spawn(move || {
+                accept_loop(listener, upstream, seed, plan, accept_stop, accept_counters)
+            })
             .expect("spawn chaos accept thread");
-        Ok(ChaosProxyHandle { stop, thread: Some(thread), counters })
+        Ok(ChaosProxyHandle {
+            stop,
+            thread: Some(thread),
+            counters,
+        })
     }
 }
 
@@ -547,26 +561,32 @@ fn spawn_relay_pair(
     };
     let (key_tx, key_rx) = mpsc::channel();
     let keys = Arc::clone(keys);
-    let t_up = std::thread::Builder::new().name("chaos-up".into()).spawn(move || {
-        let mut first = Vec::new();
-        match read_first_frame(&mut up.from, &mut first, &up.stop) {
-            Some(frame) => {
-                let key = keys.key(&first[..frame]);
-                // A down relay that is already gone needs no key.
-                let _ = key_tx.send(key);
-                up.run(ChaosChannel::new(plan, seed, key, Dir::ClientToServer), &mut first);
+    let t_up = std::thread::Builder::new()
+        .name("chaos-up".into())
+        .spawn(move || {
+            let mut first = Vec::new();
+            match read_first_frame(&mut up.from, &mut first, &up.stop) {
+                Some(frame) => {
+                    let key = keys.key(&first[..frame]);
+                    // A down relay that is already gone needs no key.
+                    let _ = key_tx.send(key);
+                    up.run(
+                        ChaosChannel::new(plan, seed, key, Dir::ClientToServer),
+                        &mut first,
+                    );
+                }
+                None => up.shutdown(),
             }
-            None => up.shutdown(),
-        }
-    })?;
-    let t_down = std::thread::Builder::new().name("chaos-down".into()).spawn(move || {
-        match wait_for_key(&key_rx, &down.stop) {
-            Some(key) => {
-                down.run(ChaosChannel::new(plan, seed, key, Dir::ServerToClient), &mut [])
-            }
+        })?;
+    let t_down = std::thread::Builder::new()
+        .name("chaos-down".into())
+        .spawn(move || match wait_for_key(&key_rx, &down.stop) {
+            Some(key) => down.run(
+                ChaosChannel::new(plan, seed, key, Dir::ServerToClient),
+                &mut [],
+            ),
             None => down.shutdown(),
-        }
-    })?;
+        })?;
     Ok([t_up, t_down])
 }
 
@@ -612,7 +632,10 @@ fn wait_for_key(rx: &mpsc::Receiver<u64>, stop: &AtomicBool) -> Option<u64> {
 }
 
 fn is_poll_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
 }
 
 struct RelayEnd {
@@ -656,7 +679,12 @@ impl RelayEnd {
                     if flipped > 0 {
                         self.counters.corrupted.fetch_add(flipped, Ordering::SeqCst);
                     }
-                    if self.to.write_all(seg).and_then(|_| self.to.flush()).is_err() {
+                    if self
+                        .to
+                        .write_all(seg)
+                        .and_then(|_| self.to.flush())
+                        .is_err()
+                    {
                         return false;
                     }
                     let relayed = match self.dir {
@@ -712,14 +740,14 @@ mod tests {
     #[test]
     fn plan_rejects_malformed_specs() {
         for bad in [
-            "delay=5",        // missing ms
-            "tear=0",         // empty segment
-            "trickle=0/5ms",  // never progresses
-            "trickle=8",      // missing /ms
-            "reset=9..3",     // empty range
-            "corrupt=2000000",// > 1e6 ppm
-            "jitter=3",       // unknown key
-            "delay",          // not key=value
+            "delay=5",         // missing ms
+            "tear=0",          // empty segment
+            "trickle=0/5ms",   // never progresses
+            "trickle=8",       // missing /ms
+            "reset=9..3",      // empty range
+            "corrupt=2000000", // > 1e6 ppm
+            "jitter=3",        // unknown key
+            "delay",           // not key=value
         ] {
             assert!(ChaosPlan::parse(bad).is_err(), "`{bad}` should not parse");
         }
@@ -731,8 +759,8 @@ mod tests {
     /// must be identical.
     #[test]
     fn fault_schedule_is_independent_of_read_chunking() {
-        let plan = ChaosPlan::parse("tear=13,reset=7000..9000,corrupt=20000,delay=0..3ms")
-            .expect("parse");
+        let plan =
+            ChaosPlan::parse("tear=13,reset=7000..9000,corrupt=20000,delay=0..3ms").expect("parse");
         let input: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
 
         // Drives a channel with reads of `chunk` bytes; returns the
@@ -773,7 +801,10 @@ mod tests {
             .zip(input.iter())
             .filter(|(a, b)| a != b)
             .count();
-        assert!(flipped > 0, "corrupt=20000 over 8k+ bytes should flip something");
+        assert!(
+            flipped > 0,
+            "corrupt=20000 over 8k+ bytes should flip something"
+        );
     }
 
     /// Different (key, dir) substreams draw different schedules from
@@ -782,11 +813,22 @@ mod tests {
     fn substreams_are_decorrelated_and_replayable() {
         let plan = ChaosPlan::parse("reset=0..1000000").expect("parse");
         let reset_of = |key, dir| {
-            ChaosChannel::new(plan, 7, key, dir).reset_at.expect("planned")
+            ChaosChannel::new(plan, 7, key, dir)
+                .reset_at
+                .expect("planned")
         };
-        assert_eq!(reset_of(0, Dir::ClientToServer), reset_of(0, Dir::ClientToServer));
-        assert_ne!(reset_of(0, Dir::ClientToServer), reset_of(1, Dir::ClientToServer));
-        assert_ne!(reset_of(0, Dir::ClientToServer), reset_of(0, Dir::ServerToClient));
+        assert_eq!(
+            reset_of(0, Dir::ClientToServer),
+            reset_of(0, Dir::ClientToServer)
+        );
+        assert_ne!(
+            reset_of(0, Dir::ClientToServer),
+            reset_of(1, Dir::ClientToServer)
+        );
+        assert_ne!(
+            reset_of(0, Dir::ClientToServer),
+            reset_of(0, Dir::ServerToClient)
+        );
     }
 
     /// A connection's faults follow its first frame, not the order the
@@ -798,8 +840,10 @@ mod tests {
         use std::os::unix::net::{UnixListener, UnixStream};
 
         let path = |name: &str| {
-            std::env::temp_dir()
-                .join(format!("catbatch-chaos-key-{}-{name}.sock", std::process::id()))
+            std::env::temp_dir().join(format!(
+                "catbatch-chaos-key-{}-{name}.sock",
+                std::process::id()
+            ))
         };
         let (upstream_path, proxy_path) = (path("upstream"), path("proxy"));
         let _ = std::fs::remove_file(&upstream_path);
@@ -843,7 +887,10 @@ mod tests {
             assert_eq!(proxy.stop().resets, 3);
             offsets
         };
-        let (a, b) = (b"first job of client a".as_slice(), b"client b's first job".as_slice());
+        let (a, b) = (
+            b"first job of client a".as_slice(),
+            b"client b's first job".as_slice(),
+        );
         let [a1, b1, a2] = offsets([a, b, a]);
         let [b1_, a1_, a2_] = offsets([b, a, a]);
         assert_eq!([a1, b1, a2], [a1_, b1_, a2_], "offsets follow the frame");
@@ -857,7 +904,13 @@ mod tests {
     #[test]
     fn transparent_plan_is_a_plain_relay() {
         let mut ch = ChaosChannel::new(ChaosPlan::default(), 1, 0, Dir::ServerToClient);
-        assert_eq!(ch.plan_segment(100), SegmentPlan::Emit { len: 100, pause_ms: 0 });
+        assert_eq!(
+            ch.plan_segment(100),
+            SegmentPlan::Emit {
+                len: 100,
+                pause_ms: 0
+            }
+        );
         let mut bytes = vec![0xab; 64];
         assert_eq!(ch.corrupt(&mut bytes), 0);
         assert!(bytes.iter().all(|&b| b == 0xab));

@@ -301,9 +301,9 @@ impl Daemon {
                 // journaled outcome, not a re-execution.
                 for rec in &state.terminal {
                     if let Some(&key) = state.idem_by_id.get(&record_id(rec)) {
-                        dedup.entry(key).or_insert_with(|| {
-                            IdemState::Done(response_from_record(rec))
-                        });
+                        dedup
+                            .entry(key)
+                            .or_insert_with(|| IdemState::Done(response_from_record(rec)));
                     }
                 }
                 if !state.pending.is_empty() {
@@ -328,9 +328,8 @@ impl Daemon {
             None => None,
         };
 
-        let listener = Listener::bind(&options.bind).map_err(|e| {
-            format!("cannot bind {}: {e}", options.bind)
-        })?;
+        let listener = Listener::bind(&options.bind)
+            .map_err(|e| format!("cannot bind {}: {e}", options.bind))?;
 
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
@@ -364,13 +363,14 @@ impl Daemon {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("serve-accept".into())
-                .spawn(move || {
-                    accept_loop(listener, &shared, workers, journal, jobs_resumed)
-                })
+                .spawn(move || accept_loop(listener, &shared, workers, journal, jobs_resumed))
                 .expect("spawn accept loop")
         };
 
-        Ok(Daemon { shared, accept: Some(accept) })
+        Ok(Daemon {
+            shared,
+            accept: Some(accept),
+        })
     }
 
     /// Asks the daemon to shut down: stop accepting, fail queued jobs
@@ -503,10 +503,16 @@ fn session(id: u64, conn: Conn, shared: &Arc<Shared>) {
     let Ok(gate_conn) = conn.try_clone() else {
         return;
     };
-    if conn.set_read_timeout(Some(Duration::from_millis(50))).is_err() {
+    if conn
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .is_err()
+    {
         return;
     }
-    let gate = Arc::new(SessionGate { evicted: AtomicBool::new(false), conn: gate_conn });
+    let gate = Arc::new(SessionGate {
+        evicted: AtomicBool::new(false),
+        conn: gate_conn,
+    });
     let (reply_tx, reply_rx) = mpsc::sync_channel::<(u64, Response)>(shared.options.writer_queue);
     let writer = {
         let gate = Arc::clone(&gate);
@@ -543,7 +549,9 @@ fn session(id: u64, conn: Conn, shared: &Arc<Shared>) {
                 Ok(Request::Shutdown { flush }) => {
                     let has_journal = shared.journal_tx().is_some();
                     shared.stop.store(true, Ordering::SeqCst);
-                    Response::ShuttingDown { flushed: flush && has_journal }
+                    Response::ShuttingDown {
+                        flushed: flush && has_journal,
+                    }
                 }
                 Err(e) => Response::Error(JobError {
                     id: 0,
@@ -633,13 +641,16 @@ fn enqueue(
     // across all shards instead of serializing on one worker.
     let shard = (spec.id as usize) % shared.queues.len();
     let (queue, cond) = &shared.queues[shard];
-    queue.lock().expect("shard queue poisoned").push_back(WorkItem {
-        seq,
-        spec,
-        reply: reply.clone(),
-        pending: Arc::clone(pending),
-        gate: Arc::clone(gate),
-    });
+    queue
+        .lock()
+        .expect("shard queue poisoned")
+        .push_back(WorkItem {
+            seq,
+            spec,
+            reply: reply.clone(),
+            pending: Arc::clone(pending),
+            gate: Arc::clone(gate),
+        });
     cond.notify_one();
     None
 }
@@ -770,16 +781,22 @@ fn worker_loop(index: usize, shared: &Arc<Shared>, scratch: &Arc<ScratchPool<Eng
 /// Pops from the worker's own shard, else steals the oldest item from
 /// the most loaded other shard.
 fn take_item(index: usize, shared: &Shared) -> Option<WorkItem> {
-    if let Some(item) =
-        shared.queues[index].0.lock().expect("shard queue poisoned").pop_front()
+    if let Some(item) = shared.queues[index]
+        .0
+        .lock()
+        .expect("shard queue poisoned")
+        .pop_front()
     {
         return Some(item);
     }
     let n = shared.queues.len();
     for off in 1..n {
         let victim = (index + off) % n;
-        if let Some(item) =
-            shared.queues[victim].0.lock().expect("shard queue poisoned").pop_front()
+        if let Some(item) = shared.queues[victim]
+            .0
+            .lock()
+            .expect("shard queue poisoned")
+            .pop_front()
         {
             return Some(item);
         }
@@ -788,8 +805,14 @@ fn take_item(index: usize, shared: &Shared) -> Option<WorkItem> {
 }
 
 /// The name of every scheduler [`scheduler_by_name`] builds.
-pub const SCHEDULERS: [&str; 6] =
-    ["catbatch", "backfill", "catprio", "strip", "list-fifo", "list-longest"];
+pub const SCHEDULERS: [&str; 6] = [
+    "catbatch",
+    "backfill",
+    "catprio",
+    "strip",
+    "list-fifo",
+    "list-longest",
+];
 
 /// Builds the scheduler a job names, for a platform of `procs`
 /// processors; `None` for a name not in [`SCHEDULERS`].
@@ -865,8 +888,8 @@ fn run_job(
             let name = name.clone();
             let scratch = Arc::clone(scratch);
             move || {
-                let mut sched = scheduler_by_name(&name, inst.procs())
-                    .expect("scheduler name validated above");
+                let mut sched =
+                    scheduler_by_name(&name, inst.procs()).expect("scheduler name validated above");
                 scratch.with(EngineScratch::new, |s| {
                     let mut config = EngineConfig::new().scratch(s);
                     // The per-request deadline rides the engine's wall
@@ -909,9 +932,10 @@ fn run_job(
         }
         Ok(Err(run_err)) => (run_error_kind(&run_err, spec), format!("{run_err}")),
         Err(TrialError::Panicked { message }) => (kind::PANICKED, message),
-        Err(TrialError::TimedOut { limit_ms }) => {
-            (kind::TIMED_OUT, format!("exceeded the {limit_ms} ms watchdog"))
-        }
+        Err(TrialError::TimedOut { limit_ms }) => (
+            kind::TIMED_OUT,
+            format!("exceeded the {limit_ms} ms watchdog"),
+        ),
         Err(TrialError::Quarantined { attempts }) => (
             kind::QUARANTINED,
             format!("quarantined after {attempts} failed attempt(s)"),
@@ -925,7 +949,12 @@ fn run_job(
             kind: kind_str.into(),
         });
     }
-    Response::Error(JobError { id: spec.id, kind: kind_str.into(), retryable: false, message })
+    Response::Error(JobError {
+        id: spec.id,
+        kind: kind_str.into(),
+        retryable: false,
+        message,
+    })
 }
 
 /// Classifies a typed engine error: a wall-clock budget trip on a job
@@ -933,11 +962,10 @@ fn run_job(
 /// generic run error.
 fn run_error_kind(err: &RunError, spec: &JobSpec) -> &'static str {
     match err {
-        RunError::BudgetExceeded { exceeded: BudgetKind::WallClock { .. }, .. }
-            if spec.deadline_ms.is_some() =>
-        {
-            kind::DEADLINE_EXCEEDED
-        }
+        RunError::BudgetExceeded {
+            exceeded: BudgetKind::WallClock { .. },
+            ..
+        } if spec.deadline_ms.is_some() => kind::DEADLINE_EXCEEDED,
         _ => kind::RUN,
     }
 }
@@ -971,16 +999,18 @@ fn response_from_record(rec: &JobRecord) -> Response {
             gantt: Vec::new(),
             trace: String::new(),
         }),
-        JobRecord::Failed { id, scheduler: _, kind: kind_str } => {
-            Response::Error(JobError {
-                id: *id,
-                kind: kind_str.clone(),
-                retryable: false,
-                message: "journaled terminal failure, replayed for a resubmitted \
+        JobRecord::Failed {
+            id,
+            scheduler: _,
+            kind: kind_str,
+        } => Response::Error(JobError {
+            id: *id,
+            kind: kind_str.clone(),
+            retryable: false,
+            message: "journaled terminal failure, replayed for a resubmitted \
                           idempotency key"
-                    .into(),
-            })
-        }
+                .into(),
+        }),
         JobRecord::Submitted { .. } => unreachable!("terminal records only"),
     }
 }
@@ -1026,5 +1056,11 @@ fn summarize(spec: &JobSpec, inst: &Instance, run: &RunResult) -> JobResult {
 /// path the daemon journal replays — exposed for tests and the bench
 /// harness.
 pub fn run_one(spec: &JobSpec, options: &ServeOptions) -> Response {
-    run_job(spec, &supervisor(options), &Arc::new(ScratchPool::new()), None, options)
+    run_job(
+        spec,
+        &supervisor(options),
+        &Arc::new(ScratchPool::new()),
+        None,
+        options,
+    )
 }

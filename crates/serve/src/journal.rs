@@ -150,10 +150,21 @@ pub fn aggregate(terminal: &[JobRecord]) -> Aggregates {
     for rec in terminal {
         by_id.entry(rec.id()).or_insert(rec);
     }
-    let mut agg = Aggregates { completed: 0, failed: 0, events: 0, fingerprint: 0xcbf2_9ce4_8422_2325 };
+    let mut agg = Aggregates {
+        completed: 0,
+        failed: 0,
+        events: 0,
+        fingerprint: 0xcbf2_9ce4_8422_2325,
+    };
     for rec in by_id.values() {
         match rec {
-            JobRecord::Completed { id, scheduler, makespan, events, .. } => {
+            JobRecord::Completed {
+                id,
+                scheduler,
+                makespan,
+                events,
+                ..
+            } => {
                 agg.completed += 1;
                 agg.events += events;
                 for bytes in [
@@ -213,7 +224,13 @@ fn recover(journal: Journal<ServeHeader, JobRecord>) -> JournalState {
     let mut terminal: Vec<JobRecord> = Vec::new();
     for rec in journal.records {
         match rec {
-            JobRecord::Submitted { id, scheduler, instance, idem, .. } => {
+            JobRecord::Submitted {
+                id,
+                scheduler,
+                instance,
+                idem,
+                ..
+            } => {
                 if let std::collections::btree_map::Entry::Vacant(slot) = submitted.entry(id) {
                     submit_order.push(id);
                     if let Some(key) = idem {
@@ -244,7 +261,12 @@ fn recover(journal: Journal<ServeHeader, JobRecord>) -> JournalState {
         .filter(|id| !terminal_ids.contains(id))
         .map(|id| submitted.remove(&id).expect("ordered id is in the map"))
         .collect();
-    JournalState { pending, terminal, idem_by_id, torn_tail: journal.torn_tail }
+    JournalState {
+        pending,
+        terminal,
+        idem_by_id,
+        torn_tail: journal.torn_tail,
+    }
 }
 
 enum Msg {
@@ -294,7 +316,9 @@ impl ServeJournal {
                 .map_err(|e| format!("cannot reopen {e}"))?;
             (writer, recover(journal))
         } else {
-            let header = ServeHeader { schema: SERVE_SCHEMA.to_string() };
+            let header = ServeHeader {
+                schema: SERVE_SCHEMA.to_string(),
+            };
             let writer =
                 JournalWriter::create(path, &header).map_err(|e| format!("cannot create {e}"))?;
             (writer, JournalState::default())
@@ -304,14 +328,19 @@ impl ServeJournal {
             .name("serve-journal".into())
             .spawn(move || writer_loop(writer, rx))
             .map_err(|e| format!("cannot spawn journal thread: {e}"))?;
-        let journal =
-            ServeJournal { tx: Some(tx), handle: Some(handle), path: path.to_path_buf() };
+        let journal = ServeJournal {
+            tx: Some(tx),
+            handle: Some(handle),
+            path: path.to_path_buf(),
+        };
         Ok((journal, state))
     }
 
     /// A cloneable append handle for workers and sessions.
     pub fn sender(&self) -> JournalTx {
-        JournalTx { tx: self.tx.clone().expect("journal is open") }
+        JournalTx {
+            tx: self.tx.clone().expect("journal is open"),
+        }
     }
 
     /// The journal's path.
@@ -378,10 +407,7 @@ mod tests {
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "serve-journal-{}-{name}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("serve-journal-{}-{name}", std::process::id()));
         let _ = std::fs::remove_file(&dir);
         dir
     }
@@ -420,7 +446,11 @@ mod tests {
         tx.record(submitted(2));
         tx.record(completed(1));
         tx.record(submitted(3));
-        tx.record(JobRecord::Failed { id: 3, scheduler: "catbatch".into(), kind: "run".into() });
+        tx.record(JobRecord::Failed {
+            id: 3,
+            scheduler: "catbatch".into(),
+            kind: "run".into(),
+        });
         journal.close();
 
         let (reopened, state) = ServeJournal::open(&path).expect("reopen");
@@ -441,8 +471,12 @@ mod tests {
         journal.close();
         // Simulate a crash mid-append.
         use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new().append(true).open(&path).expect("open");
-        f.write_all(b"{\"Completed\":{\"id\":1,").expect("torn write");
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .expect("open");
+        f.write_all(b"{\"Completed\":{\"id\":1,")
+            .expect("torn write");
         drop(f);
 
         let (journal, state) = ServeJournal::open(&path).expect("reopen over torn tail");
@@ -499,9 +533,19 @@ mod tests {
         let old_completed = r#"{"Completed":{"id":7,"scheduler":"catbatch","makespan":"5","events":12,"ratio_to_lb":1.5}}"#;
         let rec: JobRecord = serde_json::from_str(old_completed).expect("old Completed parses");
         match rec {
-            JobRecord::Completed { id, tasks, procs, lower_bound, peak_ready, .. } => {
+            JobRecord::Completed {
+                id,
+                tasks,
+                procs,
+                lower_bound,
+                peak_ready,
+                ..
+            } => {
                 assert_eq!(id, 7);
-                assert_eq!((tasks, procs, lower_bound, peak_ready), (None, None, None, None));
+                assert_eq!(
+                    (tasks, procs, lower_bound, peak_ready),
+                    (None, None, None, None)
+                );
             }
             other => panic!("wrong variant: {other:?}"),
         }

@@ -157,8 +157,10 @@ pub fn run(options: &LoadgenOptions) -> Result<LoadgenReport, String> {
             .map_err(|e| format!("shutdown request failed: {e}"))?;
     }
 
-    let mut latencies: Vec<f64> =
-        outcomes.iter().flat_map(|o| o.latencies_ms.iter().copied()).collect();
+    let mut latencies: Vec<f64> = outcomes
+        .iter()
+        .flat_map(|o| o.latencies_ms.iter().copied())
+        .collect();
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     let ok: u64 = outcomes.iter().map(|o| o.ok).sum();
     let errors: u64 = outcomes.iter().map(|o| o.errors).sum();
@@ -170,7 +172,11 @@ pub fn run(options: &LoadgenOptions) -> Result<LoadgenReport, String> {
         retries: outcomes.iter().map(|o| o.retries).sum(),
         reconnects: outcomes.iter().map(|o| o.reconnects).sum(),
         elapsed_ms,
-        jobs_per_sec: if elapsed_ms > 0.0 { ok as f64 / (elapsed_ms / 1e3) } else { 0.0 },
+        jobs_per_sec: if elapsed_ms > 0.0 {
+            ok as f64 / (elapsed_ms / 1e3)
+        } else {
+            0.0
+        },
         p50_ms: percentile(&latencies, 0.50),
         p99_ms: percentile(&latencies, 0.99),
     })
@@ -239,24 +245,30 @@ fn one_client(index: usize, options: &LoadgenOptions) -> Result<ClientOutcome, S
         })
         .collect();
     let mut inflight: VecDeque<Flight> = VecDeque::new();
-    let config = ClientConfig { read_timeout: Some(options.read_timeout) };
+    let config = ClientConfig {
+        read_timeout: Some(options.read_timeout),
+    };
     let mut client: Option<Client> = None;
     let mut dial_failures = 0u32;
 
     // Moves every in-flight job back to the head of the send queue
     // (order preserved — idempotency keys make the replays safe).
-    let requeue =
-        |inflight: &mut VecDeque<Flight>, queue: &mut VecDeque<Flight>, outcome: &mut ClientOutcome| {
-            while let Some(mut f) = inflight.pop_back() {
-                f.attempts += 1;
-                outcome.retries += 1;
-                queue.push_front(f);
-            }
-        };
+    let requeue = |inflight: &mut VecDeque<Flight>,
+                   queue: &mut VecDeque<Flight>,
+                   outcome: &mut ClientOutcome| {
+        while let Some(mut f) = inflight.pop_back() {
+            f.attempts += 1;
+            outcome.retries += 1;
+            queue.push_front(f);
+        }
+    };
 
     while !(queue.is_empty() && inflight.is_empty()) {
         // Jobs whose attempt budget is spent are abandoned up front.
-        while queue.front().is_some_and(|f| f.attempts >= options.max_attempts) {
+        while queue
+            .front()
+            .is_some_and(|f| f.attempts >= options.max_attempts)
+        {
             queue.pop_front();
             outcome.gave_up += 1;
         }
@@ -283,7 +295,9 @@ fn one_client(index: usize, options: &LoadgenOptions) -> Result<ClientOutcome, S
         // Fill the pipeline window.
         let mut send_failed = false;
         while inflight.len() < options.window {
-            let Some(mut flight) = queue.pop_front() else { break };
+            let Some(mut flight) = queue.pop_front() else {
+                break;
+            };
             if flight.attempts >= options.max_attempts {
                 outcome.gave_up += 1;
                 continue;
@@ -319,12 +333,13 @@ fn one_client(index: usize, options: &LoadgenOptions) -> Result<ClientOutcome, S
                 let mut flight = inflight
                     .pop_front()
                     .ok_or_else(|| format!("client {index}: response with nothing in flight"))?;
-                let first_sent =
-                    flight.first_sent.expect("in-flight jobs have been sent");
+                let first_sent = flight.first_sent.expect("in-flight jobs have been sent");
                 match resp {
                     Response::Result(_) => {
                         outcome.ok += 1;
-                        outcome.latencies_ms.push(first_sent.elapsed().as_secs_f64() * 1e3);
+                        outcome
+                            .latencies_ms
+                            .push(first_sent.elapsed().as_secs_f64() * 1e3);
                     }
                     Response::Error(err) if err.retryable => {
                         flight.attempts += 1;
@@ -338,11 +353,11 @@ fn one_client(index: usize, options: &LoadgenOptions) -> Result<ClientOutcome, S
                     }
                     Response::Error(_) => {
                         outcome.errors += 1;
-                        outcome.latencies_ms.push(first_sent.elapsed().as_secs_f64() * 1e3);
+                        outcome
+                            .latencies_ms
+                            .push(first_sent.elapsed().as_secs_f64() * 1e3);
                     }
-                    other => {
-                        return Err(format!("client {index}: unexpected reply {other:?}"))
-                    }
+                    other => return Err(format!("client {index}: unexpected reply {other:?}")),
                 }
             }
             Err(_) => {

@@ -291,7 +291,10 @@ pub fn read_frame_timeout(
             read_full(r, &mut sink[..take], stop, deadline, false)?;
             remaining -= take;
         }
-        return Err(FrameError::Oversized { len, max: max_frame });
+        return Err(FrameError::Oversized {
+            len,
+            max: max_frame,
+        });
     }
     let mut body = vec![0u8; len as usize];
     read_full(r, &mut body, stop, deadline, false)?;
@@ -330,7 +333,10 @@ mod tests {
             idem: Some(0xfeed),
             deadline_ms: Some(250),
         };
-        assert_eq!(roundtrip(&Request::Submit(spec.clone())), Request::Submit(spec));
+        assert_eq!(
+            roundtrip(&Request::Submit(spec.clone())),
+            Request::Submit(spec)
+        );
         assert_eq!(
             roundtrip(&Request::Ping { payload: 99 }),
             Request::Ping { payload: 99 }

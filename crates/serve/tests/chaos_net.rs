@@ -120,7 +120,10 @@ fn run_workload(
         "[{tag}] each job must resolve exactly once at the client"
     );
     assert_eq!(report.errors, 0, "[{tag}] no typed failures expected");
-    assert_eq!(report.gave_up, 0, "[{tag}] attempt budget must survive this plan");
+    assert_eq!(
+        report.gave_up, 0,
+        "[{tag}] attempt budget must survive this plan"
+    );
     let proxy_report = proxy.map(|(handle, sock)| {
         let report = handle.stop();
         let _ = std::fs::remove_file(&sock);
@@ -195,8 +198,8 @@ fn swept_fault_plans_preserve_exactly_once_and_aggregates() {
 
 #[test]
 fn deadline_past_budget_fails_typed_not_hangs() {
-    use rigid_dag::gen::{self, TaskSampler};
     use rigid_dag::format;
+    use rigid_dag::gen::{self, TaskSampler};
 
     let sock = tmp("deadline-daemon.sock");
     let _ = std::fs::remove_file(&sock);
@@ -222,13 +225,20 @@ fn deadline_past_budget_fails_typed_not_hangs() {
         deadline_ms,
     };
 
-    client.send(&Request::Submit(spec(1, &heavy, Some(1)))).expect("send heavy");
-    client.send(&Request::Submit(spec(2, &light, Some(60_000)))).expect("send light");
+    client
+        .send(&Request::Submit(spec(1, &heavy, Some(1))))
+        .expect("send heavy");
+    client
+        .send(&Request::Submit(spec(2, &light, Some(60_000))))
+        .expect("send light");
     match client.recv().expect("heavy answered") {
         Response::Error(err) => {
             assert_eq!(err.id, 1);
             assert_eq!(err.kind, kind::DEADLINE_EXCEEDED);
-            assert!(!err.retryable, "the same job would blow the same deadline again");
+            assert!(
+                !err.retryable,
+                "the same job would blow the same deadline again"
+            );
         }
         other => panic!("expected deadline_exceeded, got {other:?}"),
     }
@@ -240,7 +250,11 @@ fn deadline_past_budget_fails_typed_not_hangs() {
     // The Pong surfaces the count, so operators can see deadline
     // pressure without scraping logs.
     match client.call(&Request::Ping { payload: 9 }).expect("ping") {
-        Response::Pong { payload, completed, deadline_exceeded } => {
+        Response::Pong {
+            payload,
+            completed,
+            deadline_exceeded,
+        } => {
             assert_eq!(payload, 9);
             assert_eq!(completed, 1);
             assert_eq!(deadline_exceeded, 1);

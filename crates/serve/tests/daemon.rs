@@ -10,9 +10,7 @@ use rigid_dag::gen::{self, TaskSampler};
 use rigid_dag::{format, StaticSource};
 use rigid_serve::journal::JobRecord;
 use rigid_serve::protocol::{kind, Request, Response};
-use rigid_serve::{
-    aggregate, run_one, Bind, Client, Daemon, JobSpec, ServeJournal, ServeOptions,
-};
+use rigid_serve::{aggregate, run_one, Bind, Client, Daemon, JobSpec, ServeJournal, ServeOptions};
 use rigid_sim::gantt::{render, GanttOptions};
 use rigid_sim::EngineConfig;
 use std::collections::BTreeMap;
@@ -30,11 +28,20 @@ fn tmpfile(name: &str) -> PathBuf {
 }
 
 fn instance_text(seed: u64, layers: usize, width: usize) -> String {
-    format::write(&gen::layered(seed, layers, width, &TaskSampler::default_mix(), 16))
+    format::write(&gen::layered(
+        seed,
+        layers,
+        width,
+        &TaskSampler::default_mix(),
+        16,
+    ))
 }
 
 fn options(name: &str) -> ServeOptions {
-    ServeOptions { bind: Bind::Unix(sock(name)), ..ServeOptions::default() }
+    ServeOptions {
+        bind: Bind::Unix(sock(name)),
+        ..ServeOptions::default()
+    }
 }
 
 fn spec(id: u64, scheduler: &str, instance: &str) -> JobSpec {
@@ -66,8 +73,7 @@ fn transcript(bind: &Bind, jobs: &[JobSpec]) -> Vec<String> {
 
 #[test]
 fn concurrent_sessions_get_in_order_byte_stable_transcripts() {
-    let instances: Vec<String> =
-        (0..3).map(|c| instance_text(100 + c, 6, 8)).collect();
+    let instances: Vec<String> = (0..3).map(|c| instance_text(100 + c, 6, 8)).collect();
     let schedulers = ["catbatch", "backfill", "list-fifo"];
     let run = |tag: &str| -> Vec<Vec<String>> {
         let opts = options(tag);
@@ -86,7 +92,10 @@ fn concurrent_sessions_get_in_order_byte_stable_transcripts() {
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("client")).collect()
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("client"))
+                .collect()
         });
         daemon.trigger_shutdown();
         let report = daemon.wait();
@@ -164,7 +173,10 @@ fn malformed_and_oversized_frames_get_typed_errors_and_the_session_survives() {
     }
 
     // 5. The same session still schedules real work afterwards.
-    match client.call(&Request::Submit(spec(9, "catbatch", &inst))).expect("valid job") {
+    match client
+        .call(&Request::Submit(spec(9, "catbatch", &inst)))
+        .expect("valid job")
+    {
         Response::Result(r) => assert_eq!(r.id, 9),
         other => panic!("expected a result, got {other:?}"),
     }
@@ -176,7 +188,10 @@ fn malformed_and_oversized_frames_get_typed_errors_and_the_session_survives() {
     daemon.trigger_shutdown();
     let report = daemon.wait();
     assert_eq!(report.jobs_completed, 1);
-    assert_eq!(report.jobs_failed, 2, "parse + unknown-scheduler count as failed jobs");
+    assert_eq!(
+        report.jobs_failed, 2,
+        "parse + unknown-scheduler count as failed jobs"
+    );
 }
 
 #[test]
@@ -191,9 +206,13 @@ fn overloaded_sessions_get_retryable_backpressure_errors() {
     // exceeds the in-flight cap.
     let heavy = instance_text(5, 120, 40);
     let light = instance_text(6, 3, 3);
-    client.send(&Request::Submit(spec(1, "catbatch", &heavy))).expect("send heavy");
+    client
+        .send(&Request::Submit(spec(1, "catbatch", &heavy)))
+        .expect("send heavy");
     for j in 2..=8 {
-        client.send(&Request::Submit(spec(j, "list-fifo", &light))).expect("send burst");
+        client
+            .send(&Request::Submit(spec(j, "list-fifo", &light)))
+            .expect("send burst");
     }
     let mut ok = 0;
     let mut overloaded = 0;
@@ -219,10 +238,14 @@ fn overloaded_sessions_get_retryable_backpressure_errors() {
 fn terminal_by_id(path: &std::path::Path) -> BTreeMap<u64, JobRecord> {
     let (journal, state) = ServeJournal::open(path).expect("scan journal");
     journal.close();
-    state.terminal.iter().map(|r| match r {
-        JobRecord::Completed { id, .. } | JobRecord::Failed { id, .. } => (*id, r.clone()),
-        JobRecord::Submitted { .. } => unreachable!(),
-    }).collect()
+    state
+        .terminal
+        .iter()
+        .map(|r| match r {
+            JobRecord::Completed { id, .. } | JobRecord::Failed { id, .. } => (*id, r.clone()),
+            JobRecord::Submitted { .. } => unreachable!(),
+        })
+        .collect()
 }
 
 #[test]
@@ -230,8 +253,9 @@ fn shutdown_mid_load_loses_no_accepted_job_and_restart_converges() {
     let journal_path = tmpfile("midload.journal");
     let clean_path = tmpfile("clean.journal");
     let inst = instance_text(7, 40, 20);
-    let jobs: Vec<JobSpec> =
-        (1..=20).map(|j| spec(j, if j % 2 == 0 { "catbatch" } else { "backfill" }, &inst)).collect();
+    let jobs: Vec<JobSpec> = (1..=20)
+        .map(|j| spec(j, if j % 2 == 0 { "catbatch" } else { "backfill" }, &inst))
+        .collect();
 
     // Run A: shut down as soon as the first response lands, with most
     // of the load still queued or running.
@@ -291,7 +315,10 @@ fn shutdown_mid_load_loses_no_accepted_job_and_restart_converges() {
     // After the restart every accepted job has a terminal record.
     let resumed = terminal_by_id(&journal_path);
     for id in &accepted {
-        assert!(resumed.contains_key(id), "accepted job {id} lost across restart");
+        assert!(
+            resumed.contains_key(id),
+            "accepted job {id} lost across restart"
+        );
     }
 
     // Reference: the same job set on an uninterrupted daemon. Every
@@ -308,11 +335,18 @@ fn shutdown_mid_load_loses_no_accepted_job_and_restart_converges() {
     daemon_c.wait();
     let clean = terminal_by_id(&clean_path);
     for (id, rec) in &resumed {
-        assert_eq!(Some(rec), clean.get(id), "job {id} diverged across crash-resume");
+        assert_eq!(
+            Some(rec),
+            clean.get(id),
+            "job {id} diverged across crash-resume"
+        );
     }
     let common: Vec<JobRecord> = resumed.values().cloned().collect();
-    let clean_common: Vec<JobRecord> =
-        clean.iter().filter(|(id, _)| resumed.contains_key(id)).map(|(_, r)| r.clone()).collect();
+    let clean_common: Vec<JobRecord> = clean
+        .iter()
+        .filter(|(id, _)| resumed.contains_key(id))
+        .map(|(_, r)| r.clone())
+        .collect();
     assert_eq!(aggregate(&common), aggregate(&clean_common));
 
     let _ = std::fs::remove_file(&journal_path);
@@ -357,8 +391,16 @@ fn crafted_backlog_replays_deterministically_on_startup() {
     for pair in all_equal.windows(2) {
         match (pair[0], pair[1]) {
             (
-                JobRecord::Completed { makespan: a, events: ea, .. },
-                JobRecord::Completed { makespan: b, events: eb, .. },
+                JobRecord::Completed {
+                    makespan: a,
+                    events: ea,
+                    ..
+                },
+                JobRecord::Completed {
+                    makespan: b,
+                    events: eb,
+                    ..
+                },
             ) => {
                 assert_eq!(a, b, "same instance + scheduler → same makespan");
                 assert_eq!(ea, eb);
@@ -382,7 +424,10 @@ fn gantt_labels_name_the_placed_tasks() {
         .lines()
         .map(str::to_string)
         .collect();
-    let job = JobSpec { gantt: true, ..spec(1, "catbatch", &text) };
+    let job = JobSpec {
+        gantt: true,
+        ..spec(1, "catbatch", &text)
+    };
     match run_one(&job, &ServeOptions::default()) {
         Response::Result(result) => assert_eq!(result.gantt, expected),
         other => panic!("expected a result, got {other:?}"),

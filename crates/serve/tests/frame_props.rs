@@ -25,7 +25,12 @@ struct Chunked<'a> {
 impl<'a> Chunked<'a> {
     fn new(data: &'a [u8], sizes: Vec<usize>) -> Self {
         assert!(sizes.iter().all(|&s| s > 0), "chunk sizes must be positive");
-        Chunked { data, pos: 0, sizes, next: 0 }
+        Chunked {
+            data,
+            pos: 0,
+            sizes,
+            next: 0,
+        }
     }
 }
 

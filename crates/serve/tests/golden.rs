@@ -58,7 +58,11 @@ fn reopening_the_serve_fixture_recovers_backlog_terminals_and_idem_keys() {
         vec![
             completed(1, "catbatch", "15.2", 22, 1.6213333333333333),
             completed(2, "list-fifo", "3.5", 6, 1.0),
-            JobRecord::Failed { id: 3, scheduler: "catbatch".into(), kind: "parse".into() },
+            JobRecord::Failed {
+                id: 3,
+                scheduler: "catbatch".into(),
+                kind: "parse".into()
+            },
             completed(4, "backfill", "3.5", 6, 1.0),
         ]
     );
@@ -66,6 +70,10 @@ fn reopening_the_serve_fixture_recovers_backlog_terminals_and_idem_keys() {
         state.idem_by_id,
         BTreeMap::from([(1, 0xa1), (2, 0xa2), (3, 0xa3), (5, 0xa5)])
     );
-    assert_eq!(fs::read(&copy).unwrap(), golden, "reopening without records changed the file");
+    assert_eq!(
+        fs::read(&copy).unwrap(),
+        golden,
+        "reopening without records changed the file"
+    );
     let _ = fs::remove_file(&copy);
 }

@@ -383,7 +383,10 @@ impl CalendarQueue {
     /// current decision round starts onto the overflow path).
     fn pop_front_merged(&mut self, only_at: Option<Time>) -> Option<Event> {
         let same = |e: &Event| only_at.is_none_or(|t| e.at == t);
-        let radix = self.buckets[0].get(self.front_pos).map(|e| e.ev).filter(same);
+        let radix = self.buckets[0]
+            .get(self.front_pos)
+            .map(|e| e.ev)
+            .filter(same);
         let over = self.overflow.peek().copied().filter(|e| same(e));
         let take_overflow = match (radix, over) {
             (Some(r), Some(o)) => o < r,

@@ -84,7 +84,11 @@ impl fmt::Display for SourceViolation {
                 "source contract violated: released task {task} lists \
                  predecessor {pred} more than once"
             ),
-            SourceViolation::Oversubscription { task, needed, platform } => write!(
+            SourceViolation::Oversubscription {
+                task,
+                needed,
+                platform,
+            } => write!(
                 f,
                 "source contract violated: released task {task} needs {needed} \
                  procs but the platform has only {platform}"
@@ -153,7 +157,10 @@ impl fmt::Display for SchedulerViolation {
                 f,
                 "scheduler oversubscribed: task {task} needs {needed} procs, {free} free"
             ),
-            SchedulerViolation::Deadlock { unstarted, capacity } => write!(
+            SchedulerViolation::Deadlock {
+                unstarted,
+                capacity,
+            } => write!(
                 f,
                 "scheduler deadlock: machine idle (capacity {capacity}) but \
                  tasks {unstarted:?} unstarted"
@@ -230,7 +237,11 @@ impl fmt::Display for RunError {
                 f,
                 "task {task} abandoned after {attempts} failed attempt(s) at t={at}"
             ),
-            RunError::BudgetExceeded { exceeded, events, at } => write!(
+            RunError::BudgetExceeded {
+                exceeded,
+                events,
+                at,
+            } => write!(
                 f,
                 "run exceeded its {exceeded} after {events} event(s) at t={at}"
             ),

@@ -168,9 +168,7 @@ impl FaultLog {
     /// `true` if every assumption of the paper's model held: no
     /// failures, no stragglers, full capacity throughout.
     pub fn is_clean(&self, platform: u32) -> bool {
-        self.failures == 0
-            && self.inflated_area.is_zero()
-            && self.min_capacity >= platform
+        self.failures == 0 && self.inflated_area.is_zero() && self.min_capacity >= platform
     }
 
     /// Total extra area the platform absorbed relative to a fault-free

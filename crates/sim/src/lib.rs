@@ -59,9 +59,9 @@ pub mod offline;
 pub mod output;
 pub mod reference;
 pub mod schedule;
+pub mod scheduler;
 pub mod svg;
 pub mod trace;
-pub mod scheduler;
 
 pub use engine::{EngineConfig, EngineScratch, EngineStats, RunBudget, RunResult};
 pub use error::{BudgetKind, RunError, SchedulerViolation, SourceViolation};

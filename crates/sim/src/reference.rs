@@ -119,19 +119,25 @@ pub fn try_run_faulty(
             let mut listed = HashSet::new();
             for &p in &rel.preds {
                 if !known.contains_key(&p) {
-                    return Err(
-                        SourceViolation::UnknownPredecessor { task: rel.id, pred: p }.into()
-                    );
+                    return Err(SourceViolation::UnknownPredecessor {
+                        task: rel.id,
+                        pred: p,
+                    }
+                    .into());
                 }
                 if !completed.contains(&p) {
-                    return Err(
-                        SourceViolation::PrematureRelease { task: rel.id, pred: p }.into()
-                    );
+                    return Err(SourceViolation::PrematureRelease {
+                        task: rel.id,
+                        pred: p,
+                    }
+                    .into());
                 }
                 if !listed.insert(p) {
-                    return Err(
-                        SourceViolation::DuplicatePredecessor { task: rel.id, pred: p }.into()
-                    );
+                    return Err(SourceViolation::DuplicatePredecessor {
+                        task: rel.id,
+                        pred: p,
+                    }
+                    .into());
                 }
             }
             let idx = rel.id.index();
@@ -214,8 +220,7 @@ pub fn try_run_faulty(
                     );
                     let finish = now + actual;
                     schedule.place(id, now, finish, k.spec_procs);
-                    log.inflated_area +=
-                        (actual - k.spec_time).mul_int(k.spec_procs as i64);
+                    log.inflated_area += (actual - k.spec_time).mul_int(k.spec_procs as i64);
                     log.attempts.push(AttemptRecord {
                         task: id,
                         attempt,
@@ -253,7 +258,11 @@ pub fn try_run_faulty(
             };
             running.insert(
                 (leaves_at, start_seq),
-                Running { id, procs: k.spec_procs, outcome },
+                Running {
+                    id,
+                    procs: k.spec_procs,
+                    outcome,
+                },
             );
             start_seq += 1;
         }
@@ -280,7 +289,11 @@ pub fn try_run_faulty(
                 .collect();
             if !unstarted.is_empty() {
                 unstarted.sort();
-                return Err(SchedulerViolation::Deadlock { unstarted, capacity }.into());
+                return Err(SchedulerViolation::Deadlock {
+                    unstarted,
+                    capacity,
+                }
+                .into());
             }
             if source.expects_more() {
                 return Err(SourceViolation::WithheldTasks.into());

@@ -41,9 +41,9 @@ impl Event {
     /// The event's instant.
     pub fn at(&self) -> Time {
         match self {
-            Event::Released { at, .. } | Event::Started { at, .. } | Event::Completed { at, .. } => {
-                *at
-            }
+            Event::Released { at, .. }
+            | Event::Started { at, .. }
+            | Event::Completed { at, .. } => *at,
         }
     }
 
@@ -72,7 +72,10 @@ impl Trace {
         let mut events = Vec::with_capacity(result.schedule.len() * 3);
         for (i, &at) in result.release_times.iter().enumerate() {
             if let Some(at) = at {
-                events.push(Event::Released { task: TaskId(i as u32), at });
+                events.push(Event::Released {
+                    task: TaskId(i as u32),
+                    at,
+                });
             }
         }
         for p in result.schedule.placements() {
@@ -160,9 +163,9 @@ impl Trace {
 
 fn task_of(e: &Event) -> TaskId {
     match e {
-        Event::Released { task, .. } | Event::Started { task, .. } | Event::Completed { task, .. } => {
-            *task
-        }
+        Event::Released { task, .. }
+        | Event::Started { task, .. }
+        | Event::Completed { task, .. } => *task,
     }
 }
 
@@ -203,7 +206,8 @@ mod tests {
     fn traces_of_random_runs_are_causal() {
         for seed in 0..5u64 {
             let inst = erdos_dag(seed, 25, 0.2, &TaskSampler::default_mix(), 4);
-            let r = crate::engine::EngineConfig::new().run(&mut StaticSource::new(inst), &mut greedy());
+            let r =
+                crate::engine::EngineConfig::new().run(&mut StaticSource::new(inst), &mut greedy());
             assert!(Trace::from_run(&r).is_causal(), "seed {seed}");
         }
     }

@@ -57,28 +57,26 @@ fn arb_times(max_len: usize) -> impl Strategy<Value = Vec<Time>> {
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     // kind 8 and 9 are pops; the rest push a mixed-time event.
-    prop::collection::vec(
-        (0u8..10, 0i64..1_000_000, -126i32..121, 1i64..100),
-        0..200,
+    prop::collection::vec((0u8..10, 0i64..1_000_000, -126i32..121, 1i64..100), 0..200).prop_map(
+        |raw| {
+            raw.into_iter()
+                .enumerate()
+                .map(|(i, (kind, m, e, d))| {
+                    if kind >= 8 {
+                        Op::Pop
+                    } else {
+                        Op::Push(Event {
+                            at: mixed_time(kind, m, e, d),
+                            seq: i as u64,
+                            id: TaskId(i as u32),
+                            procs: 1 + (i as u32 % 7),
+                            fails: i % 5 == 0,
+                        })
+                    }
+                })
+                .collect()
+        },
     )
-    .prop_map(|raw| {
-        raw.into_iter()
-            .enumerate()
-            .map(|(i, (kind, m, e, d))| {
-                if kind >= 8 {
-                    Op::Pop
-                } else {
-                    Op::Push(Event {
-                        at: mixed_time(kind, m, e, d),
-                        seq: i as u64,
-                        id: TaskId(i as u32),
-                        procs: 1 + (i as u32 % 7),
-                        fails: i % 5 == 0,
-                    })
-                }
-            })
-            .collect()
-    })
 }
 
 proptest! {

@@ -30,7 +30,10 @@ struct Fifo {
 
 impl Fifo {
     fn new() -> Self {
-        Fifo { queue: Vec::new(), widths: Vec::new() }
+        Fifo {
+            queue: Vec::new(),
+            widths: Vec::new(),
+        }
     }
 }
 
@@ -131,7 +134,10 @@ impl Recording {
         } else {
             Box::new(LongestFirst::new())
         };
-        Recording { inner, releases: Vec::new() }
+        Recording {
+            inner,
+            releases: Vec::new(),
+        }
     }
 }
 
@@ -185,9 +191,13 @@ impl FaultModel for HashFaults {
         }
         let h = splitmix64(self.seed ^ ((task.0 as u64) << 32) ^ attempt as u64);
         if self.fail_mod > 0 && h.is_multiple_of(self.fail_mod) {
-            Attempt::Fail { after: nominal.div_int(2) }
+            Attempt::Fail {
+                after: nominal.div_int(2),
+            }
         } else if self.inflate_mod > 0 && (h >> 8).is_multiple_of(self.inflate_mod) {
-            Attempt::Inflated { actual: nominal.mul_int(2) }
+            Attempt::Inflated {
+                actual: nominal.mul_int(2),
+            }
         } else {
             Attempt::Complete
         }
@@ -197,7 +207,10 @@ impl FaultModel for HashFaults {
 fn assert_identical(new: &RunResult, old: &RunResult) {
     assert_eq!(new.schedule, old.schedule, "schedules diverge");
     assert_eq!(new.procs, old.procs);
-    assert_eq!(new.release_times, old.release_times, "release times diverge");
+    assert_eq!(
+        new.release_times, old.release_times,
+        "release times diverge"
+    );
     assert_eq!(new.decisions, old.decisions, "decision counts diverge");
     assert_eq!(new.faults, old.faults, "fault logs diverge");
 }
@@ -210,9 +223,21 @@ fn check_instance(inst: &Instance, fault_seed: u64, fail_mod: u64, inflate_mod: 
         let mut new_sched = Recording::new(sched_kind);
         let mut old_sched = Recording::new(sched_kind);
         let mut budget_sched = Recording::new(sched_kind);
-        let mut new_faults = HashFaults { seed: fault_seed, fail_mod, inflate_mod };
-        let mut old_faults = HashFaults { seed: fault_seed, fail_mod, inflate_mod };
-        let mut budget_faults = HashFaults { seed: fault_seed, fail_mod, inflate_mod };
+        let mut new_faults = HashFaults {
+            seed: fault_seed,
+            fail_mod,
+            inflate_mod,
+        };
+        let mut old_faults = HashFaults {
+            seed: fault_seed,
+            fail_mod,
+            inflate_mod,
+        };
+        let mut budget_faults = HashFaults {
+            seed: fault_seed,
+            fail_mod,
+            inflate_mod,
+        };
         let new = EngineConfig::new()
             .faults(&mut new_faults)
             .try_run(&mut StaticSource::new(inst.clone()), &mut new_sched);
@@ -227,8 +252,14 @@ fn check_instance(inst: &Instance, fault_seed: u64, fail_mod: u64, inflate_mod: 
             .faults(&mut budget_faults)
             .budget(RunBudget::max_events(u64::MAX))
             .try_run(&mut StaticSource::new(inst.clone()), &mut budget_sched);
-        assert_eq!(new_sched.releases, old_sched.releases, "release logs diverge");
-        assert_eq!(budget_sched.releases, old_sched.releases, "budgeted release log diverges");
+        assert_eq!(
+            new_sched.releases, old_sched.releases,
+            "release logs diverge"
+        );
+        assert_eq!(
+            budget_sched.releases, old_sched.releases,
+            "budgeted release log diverges"
+        );
         match (new, old, budgeted) {
             (Ok(new), Ok(old), Ok(budgeted)) => {
                 assert_identical(&new, &old);
@@ -236,7 +267,10 @@ fn check_instance(inst: &Instance, fault_seed: u64, fail_mod: u64, inflate_mod: 
             }
             (Err(new), Err(old), Err(budgeted)) => {
                 assert_eq!(new, old, "engines disagree on the typed error");
-                assert_eq!(budgeted, old, "budgeted engine disagrees on the typed error");
+                assert_eq!(
+                    budgeted, old,
+                    "budgeted engine disagrees on the typed error"
+                );
             }
             (new, old, budgeted) => panic!(
                 "engines disagree on success: new = {:?}, old = {:?}, budgeted = {:?}",
@@ -256,7 +290,10 @@ fn sampler(kind: u8) -> TaskSampler {
             procs: ProcDist::PowersOfTwo,
         },
         2 => TaskSampler {
-            length: LengthDist::LogUniform { min: 0.1, max: 10.0 },
+            length: LengthDist::LogUniform {
+                min: 0.1,
+                max: 10.0,
+            },
             procs: ProcDist::FractionCap { q: 0.5 },
         },
         // Mixed representations: the snapped distributions above only
@@ -343,17 +380,27 @@ fn engines_agree_on_a_repeated_predecessor() {
         }
         fn initial_into(&mut self, out: &mut Vec<ReleasedTask>) {
             let spec = TaskSpec::new(Time::ONE, 1);
-            out.push(ReleasedTask { id: TaskId(0), spec, preds: vec![] });
+            out.push(ReleasedTask {
+                id: TaskId(0),
+                spec,
+                preds: vec![],
+            });
         }
         fn on_complete_into(&mut self, _task: TaskId, _ci: u64, out: &mut Vec<ReleasedTask>) {
             let spec = TaskSpec::new(Time::ONE, 1);
-            out.push(ReleasedTask { id: TaskId(1), spec, preds: vec![TaskId(0), TaskId(0)] });
+            out.push(ReleasedTask {
+                id: TaskId(1),
+                spec,
+                preds: vec![TaskId(0), TaskId(0)],
+            });
         }
         fn expects_more(&self) -> bool {
             false
         }
     }
-    let new = EngineConfig::new().try_run(&mut Repeats, &mut Fifo::new()).unwrap_err();
+    let new = EngineConfig::new()
+        .try_run(&mut Repeats, &mut Fifo::new())
+        .unwrap_err();
     let old = reference::try_run(&mut Repeats, &mut Fifo::new()).unwrap_err();
     assert_eq!(new, old);
     assert_eq!(
@@ -374,7 +421,11 @@ fn tight_budget_trips_where_reference_completes() {
     let reference = reference::try_run_faulty(
         &mut StaticSource::new(inst.clone()),
         &mut Fifo::new(),
-        &mut HashFaults { seed: 0, fail_mod: 0, inflate_mod: 0 },
+        &mut HashFaults {
+            seed: 0,
+            fail_mod: 0,
+            inflate_mod: 0,
+        },
     )
     .expect("reference run completes");
     let total_events = inst.graph().len() as u64 * 2; // releases + completions

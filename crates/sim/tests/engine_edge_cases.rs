@@ -44,7 +44,8 @@ fn single_processor_serializes_everything() {
         .task("b", Time::from_int(2), 1)
         .task("c", Time::from_int(3), 1)
         .build(1);
-    let r = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut Greedy::new());
+    let r =
+        engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut Greedy::new());
     r.schedule.assert_valid(&inst);
     assert_eq!(r.makespan(), Time::from_int(6));
     // Usage never exceeds 1 and never has overlap.
@@ -67,7 +68,8 @@ fn many_tasks_completing_at_one_instant() {
         }
     }
     let inst = rigid_dag::Instance::new(g, 16);
-    let r = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut Greedy::new());
+    let r =
+        engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut Greedy::new());
     r.schedule.assert_valid(&inst);
     assert_eq!(r.makespan(), Time::from_int(3));
     assert_eq!(r.release_times[tail.index()], Some(Time::from_int(2)));
@@ -109,14 +111,9 @@ fn timed_arrival_exactly_at_completion() {
 
 #[test]
 fn gantt_assign_trace_agree() {
-    let inst = rigid_dag::gen::layered(
-        13,
-        5,
-        5,
-        &rigid_dag::gen::TaskSampler::default_mix(),
-        6,
-    );
-    let r = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut Greedy::new());
+    let inst = rigid_dag::gen::layered(13, 5, 5, &rigid_dag::gen::TaskSampler::default_mix(), 6);
+    let r =
+        engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut Greedy::new());
     // Gantt renders one row per processor plus the axis.
     let gantt = render(&r.schedule, inst.graph(), &GanttOptions::default());
     assert_eq!(gantt.lines().count(), 7);
@@ -214,5 +211,8 @@ fn usage_profile_matches_map_construction() {
         // Instants where the finishes and starts cancel out stay points.
         zero_net += profile.windows(2).filter(|w| w[0].1 == w[1].1).count();
     }
-    assert!(zero_net > 0, "no instance has an instant whose deltas cancel");
+    assert!(
+        zero_net > 0,
+        "no instance has an instant whose deltas cancel"
+    );
 }

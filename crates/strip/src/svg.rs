@@ -61,9 +61,8 @@ pub fn render_packing_svg(
     }
     let height_t = packing.height();
     // y grows upward: time 0 at the bottom of the drawing.
-    let y_of = |t: rigid_time::Time| -> f64 {
-        12.0 + draw_h as f64 * (1.0 - t.ratio(height_t).to_f64())
-    };
+    let y_of =
+        |t: rigid_time::Time| -> f64 { 12.0 + draw_h as f64 * (1.0 - t.ratio(height_t).to_f64()) };
     let x_of = |col: u32| -> f64 { margin as f64 + col as f64 * opts.col_width as f64 };
 
     // Strip border.
@@ -164,12 +163,9 @@ mod tests {
         use rigid_dag::{paper, StaticSource};
         let inst = paper::figure3();
         let mut cbs = crate::CatBatchStrip::new(inst.procs());
-        let _ = rigid_sim::engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut cbs);
-        let svg = render_packing_svg(
-            cbs.packing(),
-            inst.graph(),
-            &StripSvgOptions::default(),
-        );
+        let _ = rigid_sim::engine::EngineConfig::new()
+            .run(&mut StaticSource::new(inst.clone()), &mut cbs);
+        let svg = render_packing_svg(cbs.packing(), inst.graph(), &StripSvgOptions::default());
         // 11 task rects + background + border.
         assert_eq!(svg.matches("<rect").count(), 13);
         assert!(svg.contains(">A<") || svg.contains(">B<"));

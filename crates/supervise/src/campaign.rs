@@ -357,7 +357,9 @@ where
             let mut sched = make_scheduler();
             EngineConfig::new().try_run(&mut StaticSource::new(instance.clone()), &mut sched)
         }))
-        .map_err(|p| CampaignError::BaselinePanicked { message: rigid_faults::panic_message(p) })?;
+        .map_err(|p| CampaignError::BaselinePanicked {
+            message: rigid_faults::panic_message(p),
+        })?;
         Ok(run.map_err(CampaignError::Baseline)?.makespan())
     };
     let mut journal = match &options.journal {
@@ -385,8 +387,12 @@ where
 
     // What every attempt shares. Owned, because a watchdogged attempt
     // runs on a pool thread that may outlive this call.
-    let (inst, cfg, budget, procs) =
-        (instance.clone(), config.clone(), options.budget, instance.procs());
+    let (inst, cfg, budget, procs) = (
+        instance.clone(),
+        config.clone(),
+        options.budget,
+        instance.procs(),
+    );
     let scratch: ScratchPool<EngineScratch> = ScratchPool::new();
     let attempt = Arc::new(move |seed| {
         scratch.with(EngineScratch::new, |s| {
@@ -405,7 +411,10 @@ where
     })?;
 
     Ok(CampaignOutcome {
-        stats: CampaignStats { fault_free_makespan, trials: run.trials },
+        stats: CampaignStats {
+            fault_free_makespan,
+            trials: run.trials,
+        },
         executed: run.executed,
         replayed: run.replayed,
         interrupted: run.interrupted,
@@ -421,7 +430,10 @@ mod tests {
     use rigid_faults::TrialError;
 
     fn unjournaled(jobs: usize) -> CampaignOptions {
-        CampaignOptions { jobs, ..CampaignOptions::default() }
+        CampaignOptions {
+            jobs,
+            ..CampaignOptions::default()
+        }
     }
 
     /// Regression: a scheduler that panics on one seed used to take the
@@ -456,9 +468,16 @@ mod tests {
             }
         }
         let campaign = |config: FaultConfig, seeds: &[u64]| {
-            run_campaign(&figure3(), &config, seeds, &unjournaled(1), || false, || Grenade {
-                inner: CatBatch::new(),
-            })
+            run_campaign(
+                &figure3(),
+                &config,
+                seeds,
+                &unjournaled(1),
+                || false,
+                || Grenade {
+                    inner: CatBatch::new(),
+                },
+            )
             .expect("the campaign survives its panics")
             .stats
         };
@@ -482,7 +501,10 @@ mod tests {
         assert_eq!(mixed.trials.len(), 8);
         assert!(mixed.completed() > 0, "some seeds stay clean at 15%");
         assert!(
-            mixed.trials.iter().any(|t| matches!(t.outcome, Err(TrialError::Panicked { .. }))),
+            mixed
+                .trials
+                .iter()
+                .any(|t| matches!(t.outcome, Err(TrialError::Panicked { .. }))),
             "some seeds inject a failure and trip the grenade"
         );
     }
@@ -493,14 +515,23 @@ mod tests {
         let cfg = FaultConfig::fail_stop(400, 2);
         let seeds: Vec<u64> = (100..140).collect();
         let campaign = |jobs| {
-            run_campaign(&inst, &cfg, &seeds, &unjournaled(jobs), || false, || {
-                CatBatch::new().with_retry_budget(2)
-            })
+            run_campaign(
+                &inst,
+                &cfg,
+                &seeds,
+                &unjournaled(jobs),
+                || false,
+                || CatBatch::new().with_retry_budget(2),
+            )
             .expect("unjournaled campaign")
         };
         let serial = campaign(1);
         for jobs in [2, 8] {
-            assert_eq!(campaign(jobs), serial, "jobs={jobs} must be trial-for-trial identical");
+            assert_eq!(
+                campaign(jobs),
+                serial,
+                "jobs={jobs} must be trial-for-trial identical"
+            );
         }
     }
 
@@ -516,7 +547,12 @@ mod tests {
         );
         assert_ne!(
             base,
-            campaign_fingerprint(&inst, &FaultConfig::fail_stop(301, 2), "catbatch", RunBudget::UNLIMITED)
+            campaign_fingerprint(
+                &inst,
+                &FaultConfig::fail_stop(301, 2),
+                "catbatch",
+                RunBudget::UNLIMITED
+            )
         );
         assert_ne!(
             base,
@@ -527,6 +563,9 @@ mod tests {
             campaign_fingerprint(&inst, &cfg, "catbatch", RunBudget::max_events(10_000))
         );
         let other = rigid_dag::paper::intro_example(8, rigid_time::Time::from_ratio(1, 100));
-        assert_ne!(base, campaign_fingerprint(&other, &cfg, "catbatch", RunBudget::UNLIMITED));
+        assert_ne!(
+            base,
+            campaign_fingerprint(&other, &cfg, "catbatch", RunBudget::UNLIMITED)
+        );
     }
 }

@@ -135,7 +135,10 @@ impl fmt::Display for JournalError {
 impl std::error::Error for JournalError {}
 
 fn io_err(path: &Path, e: impl fmt::Display) -> JournalError {
-    JournalError::Io { path: path.display().to_string(), message: e.to_string() }
+    JournalError::Io {
+        path: path.display().to_string(),
+        message: e.to_string(),
+    }
 }
 
 /// Appends records to a journal of any schema.
@@ -154,13 +157,19 @@ impl JournalWriter {
     /// entry survives a crash too.
     pub fn create<H: Serialize>(path: &Path, header: &H) -> Result<Self, JournalError> {
         let file = File::create(path).map_err(|e| io_err(path, e))?;
-        let mut w = JournalWriter { file, path: path.to_path_buf(), len: 0 };
+        let mut w = JournalWriter {
+            file,
+            path: path.to_path_buf(),
+            len: 0,
+        };
         w.record(header)?;
         let dir = match path.parent() {
             Some(dir) if !dir.as_os_str().is_empty() => dir,
             _ => Path::new("."),
         };
-        File::open(dir).and_then(|d| d.sync_all()).map_err(|e| io_err(dir, e))?;
+        File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| io_err(dir, e))?;
         Ok(w)
     }
 
@@ -172,14 +181,24 @@ impl JournalWriter {
         path: &Path,
         read: impl Into<ValidPrefix>,
     ) -> Result<Self, JournalError> {
-        let ValidPrefix { torn_tail, valid_len } = read.into();
-        let file = OpenOptions::new().append(true).open(path).map_err(|e| io_err(path, e))?;
+        let ValidPrefix {
+            torn_tail,
+            valid_len,
+        } = read.into();
+        let file = OpenOptions::new()
+            .append(true)
+            .open(path)
+            .map_err(|e| io_err(path, e))?;
         let len = if torn_tail {
             valid_len
         } else {
             file.metadata().map_err(|e| io_err(path, e))?.len()
         };
-        let mut w = JournalWriter { file, path: path.to_path_buf(), len };
+        let mut w = JournalWriter {
+            file,
+            path: path.to_path_buf(),
+            len,
+        };
         if torn_tail {
             w.truncate().map_err(|e| io_err(path, e))?;
         }
@@ -252,7 +271,11 @@ pub struct GroupCommit<'a> {
 impl<'a> GroupCommit<'a> {
     /// Starts group-committing appends to `writer`.
     pub fn new(writer: &'a mut JournalWriter) -> Self {
-        GroupCommit { writer, pending: 0, oldest: None }
+        GroupCommit {
+            writer,
+            pending: 0,
+            oldest: None,
+        }
     }
 
     /// Writes one record, committing the group if it is now full.
@@ -320,13 +343,19 @@ pub struct ValidPrefix {
 
 impl<H, R> From<&Journal<H, R>> for ValidPrefix {
     fn from(j: &Journal<H, R>) -> Self {
-        ValidPrefix { torn_tail: j.torn_tail, valid_len: j.valid_len }
+        ValidPrefix {
+            torn_tail: j.torn_tail,
+            valid_len: j.valid_len,
+        }
     }
 }
 
 impl From<&JournalContents> for ValidPrefix {
     fn from(j: &JournalContents) -> Self {
-        ValidPrefix { torn_tail: j.torn_tail, valid_len: j.valid_len }
+        ValidPrefix {
+            torn_tail: j.torn_tail,
+            valid_len: j.valid_len,
+        }
     }
 }
 
@@ -377,7 +406,10 @@ where
             }
             Err(_) if lines.peek().is_none() => journal.torn_tail = true,
             Err(e) => {
-                return Err(error(JournalError::Corrupt { line: lineno, message: e.to_string() }))
+                return Err(error(JournalError::Corrupt {
+                    line: lineno,
+                    message: e.to_string(),
+                }))
             }
         }
     }
@@ -525,7 +557,11 @@ fn campaign_header(line: &str) -> Result<(JournalHeader, Option<ShardInfo>), Jou
                 seeds_fp: line.seeds_fp,
             })
         }
-        _ => return Err(JournalError::SchemaMismatch { found: header.schema }),
+        _ => {
+            return Err(JournalError::SchemaMismatch {
+                found: header.schema,
+            })
+        }
     };
     Ok((header, shard))
 }
@@ -597,7 +633,12 @@ pub fn resume_or_create<E: From<JournalError>>(
         Some(info) => JournalWriter::create(path, &ShardHeaderLine::new(&header, info)),
         None => JournalWriter::create(path, &header),
     }?;
-    Ok(CampaignJournal { writer, header, replay: BTreeMap::new(), torn_tail: false })
+    Ok(CampaignJournal {
+        writer,
+        header,
+        replay: BTreeMap::new(),
+        torn_tail: false,
+    })
 }
 
 #[cfg(test)]
@@ -643,7 +684,9 @@ pub(crate) mod tests {
             outcome: if seed.is_multiple_of(2) {
                 Ok(Time::from_int(seed as i64 + 20))
             } else {
-                Err(TrialError::Panicked { message: format!("boom {seed}") })
+                Err(TrialError::Panicked {
+                    message: format!("boom {seed}"),
+                })
             },
             failures: seed,
             wasted_area: Time::from_int(seed as i64),
@@ -833,7 +876,11 @@ pub(crate) mod tests {
             w.record(&trial(2)).unwrap();
             w.record(&trial(3)).unwrap();
             let j = read_journal(&tmp.0).unwrap();
-            assert_eq!(j.trials, vec![trial(1), trial(2), trial(3)], "reopen={reopen}");
+            assert_eq!(
+                j.trials,
+                vec![trial(1), trial(2), trial(3)],
+                "reopen={reopen}"
+            );
             assert!(!j.torn_tail, "reopen={reopen}");
         }
     }
@@ -848,14 +895,20 @@ pub(crate) mod tests {
         for seed in 0..full - 1 {
             group.record(&trial(seed)).unwrap();
         }
-        assert!(group.deadline().is_some(), "a partial group waits for its deadline");
+        assert!(
+            group.deadline().is_some(),
+            "a partial group waits for its deadline"
+        );
         assert_eq!(read_journal(&tmp.0).unwrap().trials.len() as u64, full - 1);
         group.record(&trial(full - 1)).unwrap();
         assert_eq!(group.deadline(), None, "a full group commits at once");
         group.record(&trial(full)).unwrap();
         group.flush().unwrap();
         assert_eq!(group.deadline(), None);
-        assert_eq!(read_journal(&tmp.0).unwrap().trials, (0..=full).map(trial).collect::<Vec<_>>());
+        assert_eq!(
+            read_journal(&tmp.0).unwrap().trials,
+            (0..=full).map(trial).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -912,7 +965,9 @@ pub(crate) mod tests {
         JournalWriter::create(&tmp.0, &h).unwrap();
         assert_eq!(
             read_journal(&tmp.0),
-            Err(JournalError::SchemaMismatch { found: "catbatch-journal/v999".to_string() })
+            Err(JournalError::SchemaMismatch {
+                found: "catbatch-journal/v999".to_string()
+            })
         );
     }
 

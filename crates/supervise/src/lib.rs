@@ -49,8 +49,8 @@ pub mod shard;
 pub mod supervisor;
 
 pub use campaign::{
-    campaign_fingerprint, run_campaign, run_seeds, CampaignError, CampaignOptions,
-    CampaignOutcome, SeedRun,
+    campaign_fingerprint, run_campaign, run_seeds, CampaignError, CampaignOptions, CampaignOutcome,
+    SeedRun,
 };
 pub use interrupt::InterruptToken;
 pub use journal::{

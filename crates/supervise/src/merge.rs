@@ -152,7 +152,11 @@ impl fmt::Display for MergeError {
                 f,
                 "{path} is a plain (unsharded) journal — only `--shard i/N` journals merge"
             ),
-            MergeError::FingerprintMismatch { reference, path, found } => write!(
+            MergeError::FingerprintMismatch {
+                reference,
+                path,
+                found,
+            } => write!(
                 f,
                 "{path} was written for scenario {found} but the first shard is scenario \
                  {reference} — shards of different campaigns cannot merge"
@@ -160,20 +164,33 @@ impl fmt::Display for MergeError {
             MergeError::ScenarioMismatch { path, message } => {
                 write!(f, "{path} disagrees with the first shard: {message}")
             }
-            MergeError::ShardCountMismatch { path, expected, found } => write!(
+            MergeError::ShardCountMismatch {
+                path,
+                expected,
+                found,
+            } => write!(
                 f,
                 "{path} was planned as one of {found} shard(s) but the first input says \
                  {expected} — mixed plans cannot merge"
             ),
-            MergeError::DuplicateShardIndex { index, first, second } => write!(
-                f,
-                "shard index {index} appears twice: {first} and {second}"
-            ),
+            MergeError::DuplicateShardIndex {
+                index,
+                first,
+                second,
+            } => write!(f, "shard index {index} appears twice: {first} and {second}"),
             MergeError::MissingShards { missing, count } => {
                 let list: Vec<String> = missing.iter().map(|i| format!("{i}/{count}")).collect();
-                write!(f, "missing shard(s) {} — merge needs all {count}", list.join(", "))
+                write!(
+                    f,
+                    "missing shard(s) {} — merge needs all {count}",
+                    list.join(", ")
+                )
             }
-            MergeError::SeedOverlap { seed, first, second } => write!(
+            MergeError::SeedOverlap {
+                seed,
+                first,
+                second,
+            } => write!(
                 f,
                 "seed {seed} is recorded by both shard {first} and shard {second} — \
                  the inputs were not produced by one consistent plan"
@@ -194,7 +211,11 @@ impl fmt::Display for MergeError {
                 f,
                 "{path} holds {recorded} of {expected} record(s){} — resume it with \
                  `--shard {index}/{count} --journal {path} --resume`, then merge again",
-                if *torn_tail { " (plus a torn trailing record, discarded)" } else { "" }
+                if *torn_tail {
+                    " (plus a torn trailing record, discarded)"
+                } else {
+                    ""
+                }
             ),
             MergeError::Write { path, message } => {
                 write!(f, "cannot write merged journal {path}: {message}")
@@ -232,8 +253,10 @@ fn parse_all(inputs: &[PathBuf]) -> Vec<Result<JournalContents, MergeError>> {
         for (i, path) in inputs.iter().enumerate() {
             let tx = tx.clone();
             scope.spawn(move || {
-                let result = read_journal(path)
-                    .map_err(|error| MergeError::Journal { path: display(path), error });
+                let result = read_journal(path).map_err(|error| MergeError::Journal {
+                    path: display(path),
+                    error,
+                });
                 let _ = tx.send((i, result));
             });
         }
@@ -278,7 +301,9 @@ pub fn merge_shards(inputs: &[PathBuf], out: &Path) -> Result<MergeReport, Merge
         .1
         .shard
         .clone()
-        .ok_or_else(|| MergeError::NotSharded { path: display(&inputs[0]) })?;
+        .ok_or_else(|| MergeError::NotSharded {
+            path: display(&inputs[0]),
+        })?;
     let ref_header = shards[0].1.header.clone();
     let mut by_index: BTreeMap<usize, usize> = BTreeMap::new();
     for &(i, ref contents) in &shards {
@@ -328,10 +353,14 @@ pub fn merge_shards(inputs: &[PathBuf], out: &Path) -> Result<MergeReport, Merge
         }
         by_index.insert(info.index, i);
     }
-    let missing: Vec<usize> =
-        (1..=reference.count).filter(|i| !by_index.contains_key(i)).collect();
+    let missing: Vec<usize> = (1..=reference.count)
+        .filter(|i| !by_index.contains_key(i))
+        .collect();
     if !missing.is_empty() {
-        return Err(MergeError::MissingShards { missing, count: reference.count });
+        return Err(MergeError::MissingShards {
+            missing,
+            count: reference.count,
+        });
     }
 
     // Per-shard completeness (against the seed slice the header pins)
@@ -358,7 +387,11 @@ pub fn merge_shards(inputs: &[PathBuf], out: &Path) -> Result<MergeReport, Merge
         }
         for seed in recorded {
             if let Some(&owner) = seed_owner.get(&seed) {
-                return Err(MergeError::SeedOverlap { seed, first: owner, second: index });
+                return Err(MergeError::SeedOverlap {
+                    seed,
+                    first: owner,
+                    second: index,
+                });
             }
             seed_owner.insert(seed, index);
         }
@@ -389,10 +422,18 @@ pub fn merge_shards(inputs: &[PathBuf], out: &Path) -> Result<MergeReport, Merge
         Ok(trials)
     };
     match write() {
-        Ok(trials) => Ok(MergeReport { header, shards: shards.len(), trials, torn_tails }),
+        Ok(trials) => Ok(MergeReport {
+            header,
+            shards: shards.len(),
+            trials,
+            torn_tails,
+        }),
         Err(e) => {
             let _ = std::fs::remove_file(out);
-            Err(MergeError::Write { path: display(out), message: e.to_string() })
+            Err(MergeError::Write {
+                path: display(out),
+                message: e.to_string(),
+            })
         }
     }
 }

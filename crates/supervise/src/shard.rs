@@ -36,7 +36,9 @@ impl ShardSpec {
         let index: usize = index.trim().parse().map_err(|_| bad())?;
         let count: usize = count.trim().parse().map_err(|_| bad())?;
         if count == 0 {
-            return Err(format!("bad shard value {s:?}: shard count must be at least 1"));
+            return Err(format!(
+                "bad shard value {s:?}: shard count must be at least 1"
+            ));
         }
         if index == 0 {
             return Err(format!(
@@ -108,9 +110,18 @@ mod tests {
 
     #[test]
     fn parse_accepts_valid_specs() {
-        assert_eq!(ShardSpec::parse("1/1").unwrap(), ShardSpec { index: 1, count: 1 });
-        assert_eq!(ShardSpec::parse("2/8").unwrap(), ShardSpec { index: 2, count: 8 });
-        assert_eq!(ShardSpec::parse("8/8").unwrap(), ShardSpec { index: 8, count: 8 });
+        assert_eq!(
+            ShardSpec::parse("1/1").unwrap(),
+            ShardSpec { index: 1, count: 1 }
+        );
+        assert_eq!(
+            ShardSpec::parse("2/8").unwrap(),
+            ShardSpec { index: 2, count: 8 }
+        );
+        assert_eq!(
+            ShardSpec::parse("8/8").unwrap(),
+            ShardSpec { index: 8, count: 8 }
+        );
     }
 
     #[test]
@@ -130,17 +141,25 @@ mod tests {
         let spec = |i| ShardSpec { index: i, count: 3 };
         let chunks: Vec<Vec<u64>> = (1..=3).map(|i| spec(i).plan(&seeds)).collect();
         let all: Vec<u64> = chunks.iter().flatten().copied().collect();
-        assert_eq!(all, (0..10).collect::<Vec<u64>>(), "chunks cover dedup list in order");
+        assert_eq!(
+            all,
+            (0..10).collect::<Vec<u64>>(),
+            "chunks cover dedup list in order"
+        );
         // Balanced: sizes differ by at most one.
         let sizes: Vec<usize> = chunks.iter().map(Vec::len).collect();
-        assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1, "{sizes:?}");
+        assert!(
+            sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1,
+            "{sizes:?}"
+        );
     }
 
     #[test]
     fn more_shards_than_seeds_yields_empty_chunks() {
         let seeds = [7u64, 8];
-        let plans: Vec<Vec<u64>> =
-            (1..=4).map(|i| ShardSpec { index: i, count: 4 }.plan(&seeds)).collect();
+        let plans: Vec<Vec<u64>> = (1..=4)
+            .map(|i| ShardSpec { index: i, count: 4 }.plan(&seeds))
+            .collect();
         let all: Vec<u64> = plans.iter().flatten().copied().collect();
         assert_eq!(all, vec![7, 8]);
         assert!(plans.iter().any(Vec::is_empty));
@@ -152,10 +171,21 @@ mod tests {
         let assigned = spec.plan(&[5, 6, 7, 8]);
         let info = spec.info(&assigned);
         assert_eq!((info.index, info.count), (2, 2));
-        assert_eq!((info.seed_first, info.seed_last, info.seed_count), (7, 8, 2));
+        assert_eq!(
+            (info.seed_first, info.seed_last, info.seed_count),
+            (7, 8, 2)
+        );
         assert_eq!(info.seeds_fp, seeds_fingerprint(&[7, 8]));
-        assert_ne!(info.seeds_fp, seeds_fingerprint(&[7]), "fingerprint sees length");
-        assert_ne!(info.seeds_fp, seeds_fingerprint(&[8, 7]), "fingerprint sees order");
+        assert_ne!(
+            info.seeds_fp,
+            seeds_fingerprint(&[7]),
+            "fingerprint sees length"
+        );
+        assert_ne!(
+            info.seeds_fp,
+            seeds_fingerprint(&[8, 7]),
+            "fingerprint sees order"
+        );
     }
 
     #[test]

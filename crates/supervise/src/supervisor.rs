@@ -56,15 +56,18 @@ where
     A: FnOnce() -> T + Send + 'static,
 {
     let Some(limit) = policy.watchdog else {
-        return catch_unwind(AssertUnwindSafe(job))
-            .map_err(|p| TrialError::Panicked { message: panic_message(p) });
+        return catch_unwind(AssertUnwindSafe(job)).map_err(|p| TrialError::Panicked {
+            message: panic_message(p),
+        });
     };
     match WatchdogPool::global().run(job, limit) {
         WatchdogOutcome::Completed(value) => Ok(value),
-        WatchdogOutcome::Panicked(p) => Err(TrialError::Panicked { message: panic_message(p) }),
-        WatchdogOutcome::TimedOut => {
-            Err(TrialError::TimedOut { limit_ms: limit.as_millis() as u64 })
-        }
+        WatchdogOutcome::Panicked(p) => Err(TrialError::Panicked {
+            message: panic_message(p),
+        }),
+        WatchdogOutcome::TimedOut => Err(TrialError::TimedOut {
+            limit_ms: limit.as_millis() as u64,
+        }),
     }
 }
 
@@ -87,7 +90,10 @@ pub struct Supervisor {
 impl Supervisor {
     /// A supervisor with the given policy and an empty quarantine.
     pub fn new(policy: SupervisorPolicy) -> Self {
-        Supervisor { policy, quarantined: Mutex::new(BTreeMap::new()) }
+        Supervisor {
+            policy,
+            quarantined: Mutex::new(BTreeMap::new()),
+        }
     }
 
     /// The active policy.
@@ -270,7 +276,9 @@ mod tests {
         // `spawned_threads` counts *live* workers since idle reaping
         // landed, so another test's worker exiting mid-run could make
         // the count shrink — saturate instead of underflowing.
-        let grown = WatchdogPool::global().spawned_threads().saturating_sub(before);
+        let grown = WatchdogPool::global()
+            .spawned_threads()
+            .saturating_sub(before);
         assert!(
             grown <= 1,
             "100 sequential watchdog trials grew the pool by {grown} threads"
@@ -311,7 +319,11 @@ mod tests {
                 assert_eq!(sup.run_trial(7, 71, || || 1), Ok(1));
             });
         });
-        assert_eq!(calls.load(Ordering::SeqCst), 2, "1 attempt + 1 retry, on one thread only");
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            2,
+            "1 attempt + 1 retry, on one thread only"
+        );
         assert_eq!(sup.quarantined(), vec![((7, 70), 2)]);
     }
 }

@@ -23,9 +23,9 @@ use rigid_supervise::{
     interrupt, merge_shards, read_journal, run_campaign, CampaignOptions, ShardSpec,
 };
 use std::fs;
+use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
-use std::io::{BufRead, BufReader, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -105,7 +105,9 @@ fn child(role: String) -> Command {
 ///   the real signal the parent sends; prints a `CHAOS-RESULT` line.
 #[test]
 fn chaos_child_main() {
-    let Ok(role) = std::env::var(ROLE_VAR) else { return };
+    let Ok(role) = std::env::var(ROLE_VAR) else {
+        return;
+    };
     let parts: Vec<&str> = role.split(':').collect();
     match parts[0] {
         "shard" => {
@@ -119,7 +121,10 @@ fn chaos_child_main() {
                 &figure3(),
                 &config(),
                 &SEEDS,
-                &CampaignOptions { jobs, ..options(journal, false, Some(spec(index, count))) },
+                &CampaignOptions {
+                    jobs,
+                    ..options(journal, false, Some(spec(index, count)))
+                },
                 move || {
                     if polls.fetch_add(1, Ordering::Relaxed) >= abort_after {
                         std::process::abort();
@@ -177,12 +182,18 @@ fn killed_shards_resume_and_merge_to_canonical_bytes() {
     )
     .expect("serial campaign");
 
-    let shards: Vec<TempFile> = (1..=3).map(|i| TempFile(temp_path(&format!("s{i}")))).collect();
+    let shards: Vec<TempFile> = (1..=3)
+        .map(|i| TempFile(temp_path(&format!("s{i}"))))
+        .collect();
 
     // Shard 1 runs to completion in a real subprocess.
-    let status = child(format!("shard:{}:1:3:{}:1", shards[0].0.display(), u64::MAX))
-        .status()
-        .expect("spawn shard 1");
+    let status = child(format!(
+        "shard:{}:1:3:{}:1",
+        shards[0].0.display(),
+        u64::MAX
+    ))
+    .status()
+    .expect("spawn shard 1");
     assert!(status.success(), "shard 1 completes");
 
     // Shard 2 aborts deterministically after journaling 2 records.
@@ -191,13 +202,21 @@ fn killed_shards_resume_and_merge_to_canonical_bytes() {
         .expect("spawn shard 2");
     assert!(!status.success(), "shard 2 dies mid-campaign");
     let damaged = read_journal(&shards[1].0).expect("read aborted shard 2");
-    assert_eq!(damaged.trials.len(), 2, "exactly 2 records survive the abort");
+    assert_eq!(
+        damaged.trials.len(),
+        2,
+        "exactly 2 records survive the abort"
+    );
     assert!(!damaged.torn_tail, "per-record fsync leaves no torn tail");
 
     // Shard 3 is SIGKILLed externally at an arbitrary point.
-    let mut proc3 = child(format!("shard:{}:3:3:{}:1", shards[2].0.display(), u64::MAX))
-        .spawn()
-        .expect("spawn shard 3");
+    let mut proc3 = child(format!(
+        "shard:{}:3:3:{}:1",
+        shards[2].0.display(),
+        u64::MAX
+    ))
+    .spawn()
+    .expect("spawn shard 3");
     std::thread::sleep(Duration::from_millis(30));
     let _ = proc3.kill();
     let _ = proc3.wait();
@@ -268,17 +287,20 @@ fn every_abort_point_merges_to_canonical_bytes() {
     // SEEDS splits 6 + 6 over two shards; abort each shard after k
     // records for a spread of crash points (0 = killed before any
     // record).
-    for (jobs, (k1, k2)) in [1, 2, 4].into_iter().flat_map(|jobs| {
-        [(0u64, 4u64), (3, 0), (5, 1)].map(|ks| (jobs, ks))
-    }) {
+    for (jobs, (k1, k2)) in [1, 2, 4]
+        .into_iter()
+        .flat_map(|jobs| [(0u64, 4u64), (3, 0), (5, 1)].map(|ks| (jobs, ks)))
+    {
         let shards: Vec<TempFile> = (1..=2)
             .map(|i| TempFile(temp_path(&format!("sweep-{jobs}-{k1}-{k2}-{i}"))))
             .collect();
         for (i, k) in [(1usize, k1), (2, k2)] {
-            let status =
-                child(format!("shard:{}:{i}:2:{k}:{jobs}", shards[i - 1].0.display()))
-                    .status()
-                    .expect("spawn shard");
+            let status = child(format!(
+                "shard:{}:{i}:2:{k}:{jobs}",
+                shards[i - 1].0.display()
+            ))
+            .status()
+            .expect("spawn shard");
             assert!(!status.success(), "shard {i} dies after {k} record(s)");
             let aborted = read_journal(&shards[i - 1].0).expect("read aborted shard");
             assert_eq!(

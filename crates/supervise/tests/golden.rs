@@ -23,7 +23,9 @@ const V1: &str = "campaign-v1.jsonl";
 const SHARDS: [&str; 2] = ["campaign-v2-shard1of2.jsonl", "campaign-v2-shard2of2.jsonl"];
 
 fn fixture(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
 }
 
 /// A unique temp path, removed on drop.
@@ -70,13 +72,22 @@ fn resuming_the_v1_fixture_executes_nothing_and_keeps_its_bytes() {
             jobs,
             ..CampaignOptions::default()
         };
-        let outcome = run_campaign(&instance, &config, &seeds, &options, || false, || {
-            CatBatch::new().with_retry_budget(3)
-        })
+        let outcome = run_campaign(
+            &instance,
+            &config,
+            &seeds,
+            &options,
+            || false,
+            || CatBatch::new().with_retry_budget(3),
+        )
         .expect("the golden journal resumes");
         assert_eq!((outcome.executed, outcome.replayed), (0, 6), "jobs={jobs}");
         assert!(!outcome.torn_tail);
-        assert_eq!(fs::read(&copy.0).unwrap(), golden, "jobs={jobs}: resume changed the file");
+        assert_eq!(
+            fs::read(&copy.0).unwrap(),
+            golden,
+            "jobs={jobs}: resume changed the file"
+        );
     }
 }
 
@@ -104,7 +115,10 @@ fn rewriting_the_fixtures_through_the_writer_reproduces_them() {
 
     for name in SHARDS {
         let shard = read_journal(&fixture(name)).expect("v2 fixture reads");
-        let info = shard.shard.clone().expect("a v2 header carries shard coordinates");
+        let info = shard
+            .shard
+            .clone()
+            .expect("a v2 header carries shard coordinates");
         let out = TempFile::new("rewrite-v2");
         let mut journal = resume_or_create(
             &out.0,
@@ -118,6 +132,10 @@ fn rewriting_the_fixtures_through_the_writer_reproduces_them() {
             journal.writer.record(trial).unwrap();
         }
         drop(journal);
-        assert_eq!(fs::read(&out.0).unwrap(), fs::read(fixture(name)).unwrap(), "{name}");
+        assert_eq!(
+            fs::read(&out.0).unwrap(),
+            fs::read(fixture(name)).unwrap(),
+            "{name}"
+        );
     }
 }

@@ -7,9 +7,7 @@ use catbatch::CatBatch;
 use rigid_dag::paper::figure3;
 use rigid_faults::FaultConfig;
 use rigid_sim::RunBudget;
-use rigid_supervise::{
-    merge_shards, run_campaign, CampaignOptions, MergeError, ShardSpec,
-};
+use rigid_supervise::{merge_shards, run_campaign, CampaignOptions, MergeError, ShardSpec};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -167,10 +165,12 @@ fn merge_rejects_a_plain_unsharded_journal() {
     )
     .expect("plain campaign");
     let out = temp_path("plain-merged");
-    let err =
-        merge_shards(std::slice::from_ref(&plain.0), &out).expect_err("plain journal");
+    let err = merge_shards(std::slice::from_ref(&plain.0), &out).expect_err("plain journal");
     assert!(matches!(err, MergeError::NotSharded { .. }), "{err}");
-    assert!(!out.exists(), "a rejected merge must not leave an output file");
+    assert!(
+        !out.exists(),
+        "a rejected merge must not leave an output file"
+    );
 }
 
 #[test]
@@ -181,7 +181,10 @@ fn merge_rejects_shards_of_different_scenarios() {
     run_shard(&b.0, spec(2, 2), &SEEDS, &FaultConfig::fail_stop(900, 5));
     let out = temp_path("fp-merged");
     let err = merge_shards(&[a.0.clone(), b.0.clone()], &out).expect_err("fingerprints differ");
-    assert!(matches!(err, MergeError::FingerprintMismatch { .. }), "{err}");
+    assert!(
+        matches!(err, MergeError::FingerprintMismatch { .. }),
+        "{err}"
+    );
     assert!(!out.exists());
 }
 
@@ -209,7 +212,14 @@ fn merge_rejects_mixed_shard_counts() {
     let out = temp_path("count-merged");
     let err = merge_shards(&[a.0.clone(), b.0.clone()], &out).expect_err("mixed plans");
     assert!(
-        matches!(err, MergeError::ShardCountMismatch { expected: 2, found: 3, .. }),
+        matches!(
+            err,
+            MergeError::ShardCountMismatch {
+                expected: 2,
+                found: 3,
+                ..
+            }
+        ),
         "{err}"
     );
     assert!(!out.exists());
@@ -242,7 +252,14 @@ fn merge_rejects_overlapping_seed_slices() {
     let out = temp_path("overlap-merged");
     let err = merge_shards(&[a.0.clone(), b.0.clone()], &out).expect_err("seed 11 twice");
     assert!(
-        matches!(err, MergeError::SeedOverlap { seed: 11, first: 1, second: 2 }),
+        matches!(
+            err,
+            MergeError::SeedOverlap {
+                seed: 11,
+                first: 1,
+                second: 2
+            }
+        ),
         "{err}"
     );
     assert!(!out.exists());
@@ -270,7 +287,13 @@ fn merge_rejects_a_killed_shard_and_names_the_resume_command() {
     let out = temp_path("killed-merged");
     let err = merge_shards(&[a.0.clone(), b.0.clone()], &out).expect_err("shard 2 incomplete");
     match &err {
-        MergeError::ShardIncomplete { index, count, recorded, expected, .. } => {
+        MergeError::ShardIncomplete {
+            index,
+            count,
+            recorded,
+            expected,
+            ..
+        } => {
             assert_eq!(*index, 2);
             assert_eq!(*count, 2);
             assert!(recorded < expected, "{recorded} vs {expected}");

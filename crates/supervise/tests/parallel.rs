@@ -106,8 +106,14 @@ fn random_campaigns_are_byte_identical_for_jobs_1_2_8() {
                 parallel.stats, serial.stats,
                 "case {case}, jobs {jobs}: TrialStats diverged from serial"
             );
-            assert_eq!(parallel.executed, serial.executed, "case {case}, jobs {jobs}");
-            assert_eq!(parallel.replayed, serial.replayed, "case {case}, jobs {jobs}");
+            assert_eq!(
+                parallel.executed, serial.executed,
+                "case {case}, jobs {jobs}"
+            );
+            assert_eq!(
+                parallel.replayed, serial.replayed,
+                "case {case}, jobs {jobs}"
+            );
             let bytes = fs::read(&journal.0).expect("parallel journal");
             assert_eq!(
                 bytes, serial_bytes,
@@ -128,7 +134,10 @@ struct Grenade {
 
 impl Grenade {
     fn new() -> Self {
-        Grenade { inner: CatBatch::new().with_retry_budget(5), failures: 0 }
+        Grenade {
+            inner: CatBatch::new().with_retry_budget(5),
+            failures: 0,
+        }
     }
 }
 
@@ -233,7 +242,10 @@ fn interrupted_parallel_campaign_flushes_a_resumable_prefix() {
         CatBatch::new,
     )
     .expect("interrupted parallel campaign");
-    assert!(partial.interrupted, "the stop closure must interrupt the fan-out");
+    assert!(
+        partial.interrupted,
+        "the stop closure must interrupt the fan-out"
+    );
     assert!(
         partial.executed < seeds.len(),
         "an interrupted campaign must not have finished everything"
@@ -269,5 +281,8 @@ fn interrupted_parallel_campaign_flushes_a_resumable_prefix() {
     assert_eq!(resumed.executed, seeds.len() - partial.executed);
     assert_eq!(resumed.stats, full.stats);
     let resumed_bytes = fs::read(&journal.0).expect("resumed journal");
-    assert_eq!(resumed_bytes, full_bytes, "resumed journal must match serial bytes");
+    assert_eq!(
+        resumed_bytes, full_bytes,
+        "resumed journal must match serial bytes"
+    );
 }

@@ -126,7 +126,10 @@ fn complete_journal_resume_is_a_no_op() {
         CatBatch::new,
     )
     .expect("no-op resume");
-    assert_eq!(resumed.executed, 0, "a finished journal re-executes nothing");
+    assert_eq!(
+        resumed.executed, 0,
+        "a finished journal re-executes nothing"
+    );
     assert_eq!(resumed.replayed, SEEDS.len());
     assert_eq!(resumed.stats, baseline);
     let after = fs::read_to_string(&journal.0).expect("read journal");

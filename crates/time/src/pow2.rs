@@ -89,7 +89,11 @@ impl Pow2 {
             if shift < 0 {
                 let s = -shift;
                 return if s >= 127 {
-                    if m >= 0 { 0 } else { -1 }
+                    if m >= 0 {
+                        0
+                    } else {
+                        -1
+                    }
                 } else {
                     m >> s
                 };
@@ -132,7 +136,10 @@ impl Pow2 {
                 // b ≤ 64 and b + e ≤ 127 (Dyadic's range), so χ ≤ 126.
                 (64 - d.mantissa().leading_zeros() as i32) - 1 + d.exponent()
             };
-            assert!(chi >= -MAX_ABS_EXPONENT, "largest_below underflow for t = {t}");
+            assert!(
+                chi >= -MAX_ABS_EXPONENT,
+                "largest_below underflow for t = {t}"
+            );
             return Pow2::new(chi);
         }
         // Start from an exponent guaranteed to be >= the answer, then walk
@@ -233,10 +240,7 @@ mod tests {
             Pow2::largest_below(Time::from_ratio(1, 1 << 20)).exponent(),
             -21
         );
-        assert_eq!(
-            Pow2::largest_below(Time::from_int(1 << 40)).exponent(),
-            39
-        );
+        assert_eq!(Pow2::largest_below(Time::from_int(1 << 40)).exponent(), 39);
     }
 
     #[test]
@@ -255,11 +259,23 @@ mod tests {
     fn largest_below_at_extreme_exponents() {
         // Exact grid points at the edges of the dyadic range: the answer
         // must step strictly below (Definition 2 strict inequality).
-        assert_eq!(Pow2::largest_below(Time::from_dyadic(1, 126)).exponent(), 125);
-        assert_eq!(Pow2::largest_below(Time::from_dyadic(1, -125)).exponent(), -126);
+        assert_eq!(
+            Pow2::largest_below(Time::from_dyadic(1, 126)).exponent(),
+            125
+        );
+        assert_eq!(
+            Pow2::largest_below(Time::from_dyadic(1, -125)).exponent(),
+            -126
+        );
         // Odd mantissas near the edges bracket from inside the octave.
-        assert_eq!(Pow2::largest_below(Time::from_dyadic(3, 124)).exponent(), 125);
-        assert_eq!(Pow2::largest_below(Time::from_dyadic(3, -126)).exponent(), -125);
+        assert_eq!(
+            Pow2::largest_below(Time::from_dyadic(3, 124)).exponent(),
+            125
+        );
+        assert_eq!(
+            Pow2::largest_below(Time::from_dyadic(3, -126)).exponent(),
+            -125
+        );
         assert_eq!(
             Pow2::largest_below(Time::from_dyadic(i64::MAX, -126)).exponent(),
             -64
@@ -285,10 +301,8 @@ mod tests {
         // Maximal bit-length mismatch both ways.
         let lopsided_small = Time::from_rational(Rational::new(3, i128::MAX));
         assert_eq!(Pow2::largest_below(lopsided_small).exponent(), -126);
-        let exact_power_ratio = Time::from_rational(Rational::new(
-            (1i128 << 125) + 1,
-            (1i128 << 5) + 1,
-        ));
+        let exact_power_ratio =
+            Time::from_rational(Rational::new((1i128 << 125) + 1, (1i128 << 5) + 1));
         assert_eq!(Pow2::largest_below(exact_power_ratio).exponent(), 119);
     }
 
@@ -310,7 +324,10 @@ mod tests {
         assert_eq!(Pow2::new(126).floor_div(Time::from_dyadic(1, -126)), 0);
         assert_eq!(Pow2::new(126).floor_div(Time::from_dyadic(-1, -126)), -1);
         // A huge value over a small divisor that still fits i128.
-        assert_eq!(Pow2::new(0).floor_div(Time::from_dyadic(1, 126)), 1i128 << 126);
+        assert_eq!(
+            Pow2::new(0).floor_div(Time::from_dyadic(1, 126)),
+            1i128 << 126
+        );
         assert_eq!(Pow2::new(126).floor_div(Time::ZERO), 0);
     }
 

@@ -36,8 +36,12 @@ fn report() -> Result<String, fmt::Error> {
     let instance = intro_example(p, eps);
     let lb = analysis::lower_bound(&instance);
 
-    let asap_run = engine::EngineConfig::new().run(&mut StaticSource::new(instance.clone()), &mut asap());
-    let cb_run = engine::EngineConfig::new().run(&mut StaticSource::new(instance.clone()), &mut CatBatch::new());
+    let asap_run =
+        engine::EngineConfig::new().run(&mut StaticSource::new(instance.clone()), &mut asap());
+    let cb_run = engine::EngineConfig::new().run(
+        &mut StaticSource::new(instance.clone()),
+        &mut CatBatch::new(),
+    );
     asap_run.schedule.assert_valid(&instance);
     cb_run.schedule.assert_valid(&instance);
 
@@ -60,10 +64,16 @@ fn report() -> Result<String, fmt::Error> {
          the deliberate idling that ASAP rules out.\n"
     )?;
 
-    writeln!(out, "== Act 2: the adaptive adversary Z^Alg_P(K) (paper Section 6) ==")?;
+    writeln!(
+        out,
+        "== Act 2: the adaptive adversary Z^Alg_P(K) (paper Section 6) =="
+    )?;
     let params = GadgetParams::new(5, 2, Time::from_ratio(1, 80));
     for (name, mut sched) in [
-        ("asap", Box::new(asap()) as Box<dyn rigid_sim::OnlineScheduler>),
+        (
+            "asap",
+            Box::new(asap()) as Box<dyn rigid_sim::OnlineScheduler>,
+        ),
         ("catbatch", Box::new(CatBatch::new())),
     ] {
         let mut adversary = ZAdversary::new(params);

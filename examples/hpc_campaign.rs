@@ -23,7 +23,8 @@ const PROCS: u32 = 64;
 
 fn run(instance: &Instance, scheduler: &mut dyn OnlineScheduler) -> (String, f64, f64) {
     let name = scheduler.name().to_string();
-    let result = engine::EngineConfig::new().run(&mut StaticSource::new(instance.clone()), scheduler);
+    let result =
+        engine::EngineConfig::new().run(&mut StaticSource::new(instance.clone()), scheduler);
     result.schedule.assert_valid(instance);
     let m = metrics::metrics(&result.schedule, instance);
     (name, m.ratio_to_lb.to_f64(), m.avg_utilization)
@@ -55,7 +56,10 @@ fn report() -> Result<String, fmt::Error> {
     };
     let campaign_b = fork_join(2025, 20, 24, &members, PROCS);
 
-    for (title, instance) in [("Campaign A (layered)", campaign_a), ("Campaign B (fork-join)", campaign_b)] {
+    for (title, instance) in [
+        ("Campaign A (layered)", campaign_a),
+        ("Campaign B (fork-join)", campaign_b),
+    ] {
         let stats = analysis::stats(&instance);
         let mm = stats
             .length_ratio()
@@ -75,10 +79,18 @@ fn report() -> Result<String, fmt::Error> {
             (stats.n as f64).log2() + 3.0,
             mm.log2() + 6.0
         )?;
-        writeln!(out, "{:<22} {:>8} {:>12}", "scheduler", "ratio", "utilization")?;
+        writeln!(
+            out,
+            "{:<22} {:>8} {:>12}",
+            "scheduler", "ratio", "utilization"
+        )?;
         let (name, ratio, util) = run(&instance, &mut CatBatch::new());
         writeln!(out, "{name:<22} {ratio:>8.3} {:>11.1}%", util * 100.0)?;
-        for priority in [Priority::Fifo, Priority::LongestFirst, Priority::MostProcsFirst] {
+        for priority in [
+            Priority::Fifo,
+            Priority::LongestFirst,
+            Priority::MostProcsFirst,
+        ] {
             let (name, ratio, util) = run(&instance, &mut ListScheduler::new(priority));
             writeln!(out, "{name:<22} {ratio:>8.3} {:>11.1}%", util * 100.0)?;
         }

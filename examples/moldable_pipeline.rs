@@ -56,7 +56,11 @@ fn report() -> Result<String, fmt::Error> {
         "{:<16} {:<10} {:>10} {:>22}",
         "allocation", "inner", "makespan", "ratio to moldable LB"
     )?;
-    for rule in [AllocRule::MinTime, AllocRule::HalfEfficient, AllocRule::Sequential] {
+    for rule in [
+        AllocRule::MinTime,
+        AllocRule::HalfEfficient,
+        AllocRule::Sequential,
+    ] {
         for inner in [InnerSched::CatBatch, InnerSched::Backfill, InnerSched::Asap] {
             let run = schedule_online(&instance, rule, inner);
             writeln!(
@@ -74,7 +78,10 @@ fn report() -> Result<String, fmt::Error> {
     // Show what the allocator chose for one solver under each rule.
     let min_time = AllocRule::MinTime.allocate_all(&instance);
     let efficient = AllocRule::HalfEfficient.allocate_all(&instance);
-    writeln!(out, "Allocation choices for solver #2 (roofline, max_par = 8):")?;
+    writeln!(
+        out,
+        "Allocation choices for solver #2 (roofline, max_par = 8):"
+    )?;
     writeln!(out, "  min-time       → {} processors", min_time[2])?;
     writeln!(out, "  half-efficient → {} processors", efficient[2])?;
     writeln!(

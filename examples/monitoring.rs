@@ -61,7 +61,8 @@ fn report() -> Result<String, fmt::Error> {
         monitor: GuaranteeMonitor::new(instance.procs()),
         snapshots: Vec::new(),
     };
-    let result = engine::EngineConfig::new().run(&mut StaticSource::new(instance.clone()), &mut sched);
+    let result =
+        engine::EngineConfig::new().run(&mut StaticSource::new(instance.clone()), &mut sched);
     result.schedule.assert_valid(&instance);
 
     writeln!(out, "Certified bound as the instance reveals itself:")?;
@@ -73,7 +74,13 @@ fn report() -> Result<String, fmt::Error> {
     // Print every few snapshots to keep the output short.
     let step = (sched.snapshots.len() / 8).max(1);
     for snap in sched.snapshots.iter().step_by(step) {
-        writeln!(out, "{:>10} {:>22.3} {:>18.3}", snap.0, snap.1.to_f64(), snap.2)?;
+        writeln!(
+            out,
+            "{:>10} {:>22.3} {:>18.3}",
+            snap.0,
+            snap.1.to_f64(),
+            snap.2
+        )?;
     }
     let final_bound = sched.monitor.conditional_makespan_bound().unwrap();
     writeln!(

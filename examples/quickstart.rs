@@ -43,7 +43,8 @@ fn report() -> Result<String, fmt::Error> {
     // The engine reveals tasks online (a task is invisible until all its
     // predecessors complete); CatBatch schedules them in category batches.
     let mut scheduler = CatBatch::new();
-    let result = engine::EngineConfig::new().run(&mut StaticSource::new(instance.clone()), &mut scheduler);
+    let result =
+        engine::EngineConfig::new().run(&mut StaticSource::new(instance.clone()), &mut scheduler);
     result.schedule.assert_valid(&instance);
 
     writeln!(out, "Schedule (CatBatch, P = {}):", instance.procs())?;

@@ -22,14 +22,18 @@ fn report() -> Result<String, fmt::Error> {
     // The paper's Figure 3 example on P = 4 processors.
     let instance = paper::figure3();
     let mut strip = CatBatchStrip::new(instance.procs());
-    let result = engine::EngineConfig::new().run(&mut StaticSource::new(instance.clone()), &mut strip);
+    let result =
+        engine::EngineConfig::new().run(&mut StaticSource::new(instance.clone()), &mut strip);
 
     // Both views must be feasible: the schedule (capacity + precedence)
     // and the packing (geometric non-overlap + contiguity).
     result.schedule.assert_valid(&instance);
     strip.packing().assert_valid();
 
-    writeln!(out, "CatBatch-Strip on the paper's 11-task example (strip width P = 4):")?;
+    writeln!(
+        out,
+        "CatBatch-Strip on the paper's 11-task example (strip width P = 4):"
+    )?;
     writeln!(
         out,
         "{:<6} {:>10} {:>8} {:>10} {:>8}",

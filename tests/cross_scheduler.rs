@@ -16,7 +16,8 @@ fn online_schedulers_feasible_everywhere() {
     for seed in 0..3u64 {
         for (name, inst) in family(seed, 60, &sampler, 8) {
             // CatBatch.
-            let r = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
+            let r = engine::EngineConfig::new()
+                .run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
             r.schedule.assert_valid(&inst);
             // Strip.
             let mut cbs = CatBatchStrip::new(inst.procs());
@@ -77,8 +78,10 @@ fn bound_ordering_chain() {
         let lb = analysis::lower_bound(&inst);
         let opt = Optimal::default().makespan(&inst);
         assert!(lb <= opt);
-        let cb = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
-        let greedy = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut asap());
+        let cb = engine::EngineConfig::new()
+            .run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
+        let greedy =
+            engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut asap());
         assert!(opt <= cb.makespan());
         assert!(opt <= greedy.makespan());
     }
@@ -91,7 +94,8 @@ fn metrics_consistency() {
     let sampler = TaskSampler::default_mix();
     for seed in 0..4u64 {
         let inst = rigid_dag::gen::layered(seed, 6, 6, &sampler, 8);
-        let r = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
+        let r = engine::EngineConfig::new()
+            .run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
         let m = metrics::metrics(&r.schedule, &inst);
         assert_eq!(
             m.busy_area + m.idle_area,
@@ -112,7 +116,8 @@ fn independent_task_shootout() {
         let inst = independent(seed, 50, &sampler, 8);
         let lb = analysis::lower_bound(&inst);
         let nfdh = run_offline(&mut ShelfScheduler::nfdh(), &inst).makespan();
-        let cb = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new())
+        let cb = engine::EngineConfig::new()
+            .run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new())
             .makespan();
         assert!(nfdh.ratio(lb).to_f64() <= 3.0 + 1e-9);
         // CatBatch is 2A/P + max-length competitive on one batch of
@@ -125,7 +130,8 @@ fn independent_task_shootout() {
 #[test]
 fn run_result_bookkeeping() {
     let inst = rigid_dag::gen::fork_join(1, 5, 6, &TaskSampler::default_mix(), 8);
-    let r = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
+    let r =
+        engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
     assert_eq!(r.release_times.len(), inst.len());
     assert!(r.decisions > 0);
     assert_eq!(r.procs, 8);

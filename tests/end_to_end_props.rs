@@ -9,7 +9,10 @@ use rigid_sim::engine;
 
 fn sampler() -> TaskSampler {
     TaskSampler {
-        length: LengthDist::Uniform { min: 0.25, max: 8.0 },
+        length: LengthDist::Uniform {
+            min: 0.25,
+            max: 8.0,
+        },
         procs: ProcDist::PowersOfTwo,
     }
 }

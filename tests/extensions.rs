@@ -66,7 +66,8 @@ fn wavefronts_end_to_end() {
             Box::new(CatBatch::new()) as Box<dyn OnlineScheduler>,
             Box::new(CatBatchBackfill::new()),
         ] {
-            let r = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), sched.as_mut());
+            let r = engine::EngineConfig::new()
+                .run(&mut StaticSource::new(inst.clone()), sched.as_mut());
             r.schedule.assert_valid(&inst);
             let ratio = r.makespan().ratio(analysis::lower_bound(&inst)).to_f64();
             assert!(ratio <= bound + 1e-9);
@@ -99,8 +100,10 @@ fn generated_instances_roundtrip() {
         let text = format::write(&inst);
         let parsed = format::parse(&text).expect("parse generated");
         assert_eq!(parsed.len(), inst.len());
-        let r1 = engine::EngineConfig::new().run(&mut StaticSource::new(inst), &mut CatBatch::new());
-        let r2 = engine::EngineConfig::new().run(&mut StaticSource::new(parsed), &mut CatBatch::new());
+        let r1 =
+            engine::EngineConfig::new().run(&mut StaticSource::new(inst), &mut CatBatch::new());
+        let r2 =
+            engine::EngineConfig::new().run(&mut StaticSource::new(parsed), &mut CatBatch::new());
         assert_eq!(r1.makespan(), r2.makespan(), "seed {seed}");
     }
 }
@@ -116,7 +119,8 @@ fn traces_and_assignments_for_all_schedulers() {
         Box::new(CatBatchStrip::new(8)),
     ];
     for mut sched in schedulers {
-        let r = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), sched.as_mut());
+        let r =
+            engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), sched.as_mut());
         let trace = rigid_sim::trace::Trace::from_run(&r);
         assert!(trace.is_causal(), "{}", sched.name());
         assert_eq!(trace.len(), inst.len() * 3);
@@ -136,7 +140,8 @@ fn backfill_mostly_wins_and_always_keeps_guarantee() {
     let mut total = 0usize;
     for seed in 0..10u64 {
         for (name, inst) in rigid_dag::gen::family(seed, 60, &sampler, 8) {
-            let plain = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
+            let plain = engine::EngineConfig::new()
+                .run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
             let bf = engine::EngineConfig::new().run(
                 &mut StaticSource::new(inst.clone()),
                 &mut CatBatchBackfill::new(),
@@ -177,11 +182,9 @@ fn asset_figure3_file_roundtrip() {
 fn stress_fifty_thousand_tasks() {
     let inst = rigid_dag::gen::layered(1, 500, 100, &TaskSampler::default_mix(), 128);
     assert!(inst.len() > 20_000);
-    let r = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
+    let r =
+        engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
     r.schedule.assert_valid(&inst);
-    let ratio = r
-        .makespan()
-        .ratio(analysis::lower_bound(&inst))
-        .to_f64();
+    let ratio = r.makespan().ratio(analysis::lower_bound(&inst)).to_f64();
     assert!(ratio <= (inst.len() as f64).log2() + 3.0 + 1e-9);
 }

@@ -69,9 +69,12 @@ fn figure1_scaling() {
     let eps = Time::from_ratio(1, 200);
     for p in [2u32, 4, 8, 16] {
         let inst = intro_example(p, eps);
-        let asap_span = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut asap()).makespan();
-        let cb_span =
-            engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new()).makespan();
+        let asap_span = engine::EngineConfig::new()
+            .run(&mut StaticSource::new(inst.clone()), &mut asap())
+            .makespan();
+        let cb_span = engine::EngineConfig::new()
+            .run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new())
+            .makespan();
         let opt_like = Time::ONE + eps.mul_int(2 * p as i64);
         assert!(asap_span >= Time::from_int(p as i64), "P={p}");
         assert!(
@@ -89,7 +92,9 @@ fn figure1_exact_optimum_p2() {
     let inst = intro_example(2, eps);
     let opt = Optimal::default().makespan(&inst);
     assert_eq!(opt, Time::ONE + eps.mul_int(4));
-    let cb = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new()).makespan();
+    let cb = engine::EngineConfig::new()
+        .run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new())
+        .makespan();
     let bound = (inst.len() as f64).log2() + 3.0;
     assert!(cb.ratio(opt).to_f64() <= bound);
 }

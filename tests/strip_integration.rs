@@ -14,7 +14,8 @@ fn packing_matches_schedule() {
     for seed in 0..4u64 {
         for (name, inst) in family(seed, 40, &sampler, 8) {
             let mut cbs = CatBatchStrip::new(inst.procs());
-            let result = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut cbs);
+            let result =
+                engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut cbs);
             result.schedule.assert_valid(&inst);
             let packing = cbs.packing();
             packing.assert_valid();
@@ -62,7 +63,8 @@ fn strip_within_lemma7() {
         let inst = rigid_dag::gen::layered(seed, 7, 8, &sampler, 8);
         let bound = catbatch::analysis::lemma7_bound(&inst);
         let mut cbs = CatBatchStrip::new(8);
-        let result = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut cbs);
+        let result =
+            engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut cbs);
         assert!(
             result.makespan() <= bound,
             "seed {seed}: {} > {bound}",

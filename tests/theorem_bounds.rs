@@ -17,7 +17,8 @@ fn theorem1_holds_across_families() {
     for seed in 0..4u64 {
         for n in [5usize, 37, 150] {
             for (name, inst) in family(seed, n, &TaskSampler::default_mix(), 8) {
-                let r = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
+                let r = engine::EngineConfig::new()
+                    .run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
                 r.schedule.assert_valid(&inst);
                 let ratio = r.makespan().ratio(analysis::lower_bound(&inst)).to_f64();
                 let bound = theorem1_ratio_bound(inst.len());
@@ -39,7 +40,8 @@ fn theorem2_constant_for_equal_lengths() {
     };
     for seed in 0..6u64 {
         for (name, inst) in family(seed, 60, &sampler, 8) {
-            let r = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
+            let r = engine::EngineConfig::new()
+                .run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
             let ratio = r.makespan().ratio(analysis::lower_bound(&inst)).to_f64();
             assert!(ratio <= 6.0 + 1e-9, "{name} seed={seed}: {ratio} > 6");
         }
@@ -60,10 +62,14 @@ fn theorem2_holds_with_spread() {
     for seed in 0..6u64 {
         for (name, inst) in family(seed, 80, &sampler, 16) {
             let stats = analysis::stats(&inst);
-            let r = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
+            let r = engine::EngineConfig::new()
+                .run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
             let ratio = r.makespan().ratio(stats.lower_bound).to_f64();
             let bound = theorem2_ratio_bound(stats.min_len, stats.max_len);
-            assert!(ratio <= bound + 1e-9, "{name} seed={seed}: {ratio} > {bound}");
+            assert!(
+                ratio <= bound + 1e-9,
+                "{name} seed={seed}: {ratio} > {bound}"
+            );
         }
     }
 }
@@ -77,7 +83,8 @@ fn exact_ratio_certification() {
     for seed in 0..12u64 {
         let inst = rigid_dag::gen::erdos_dag(seed, 7, 0.3, &TaskSampler::default_mix(), 3);
         let opt = Optimal::default().makespan(&inst);
-        let cb = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new())
+        let cb = engine::EngineConfig::new()
+            .run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new())
             .makespan();
         let cb_ratio = cb.ratio(opt).to_f64();
         assert!(
@@ -116,7 +123,8 @@ fn makespan_at_least_lb_always() {
     for seed in 0..8u64 {
         for (_, inst) in family(seed, 40, &TaskSampler::default_mix(), 8) {
             let lb = analysis::lower_bound(&inst);
-            let cb = engine::EngineConfig::new().run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
+            let cb = engine::EngineConfig::new()
+                .run(&mut StaticSource::new(inst.clone()), &mut CatBatch::new());
             assert!(cb.makespan() >= lb);
             let asap = engine::EngineConfig::new().run(
                 &mut StaticSource::new(inst.clone()),
