@@ -4,12 +4,12 @@
 //! *whole* DAG before execution — here the **bottom level** (critical
 //! tail) `bl(T) = t + max bl over successors`, giving Highest-Level-First
 //! (HLF) scheduling — and the schedule is then built greedily. The
-//! mechanics are the same event-driven greed as online list scheduling;
-//! only the information model differs, which is exactly the comparison
-//! the competitive analysis is about.
+//! mechanics are those of online list scheduling, run on the same
+//! simulation engine; only the information model differs, which is
+//! exactly the comparison the competitive analysis is about.
 
-use rigid_dag::{analysis, Instance, TaskId};
-use rigid_sim::{OfflineScheduler, Schedule};
+use rigid_dag::{analysis, Instance, ReleasedTask, StaticSource, TaskId};
+use rigid_sim::{EngineConfig, OfflineScheduler, OnlineScheduler, Schedule};
 use rigid_time::Time;
 use std::collections::BTreeMap;
 
@@ -99,64 +99,45 @@ impl OfflineScheduler for OfflineList {
     }
 
     fn schedule(&mut self, instance: &Instance) -> Schedule {
-        let g = instance.graph();
-        let keys = self.keys(instance);
-        let mut sched = Schedule::new(instance.procs());
-        if g.is_empty() {
-            return sched;
-        }
+        let mut greedy = ByKey {
+            keys: self.keys(instance),
+            ready: BTreeMap::new(),
+        };
+        let mut source = StaticSource::new(instance.clone());
+        EngineConfig::new().run(&mut source, &mut greedy).schedule
+    }
+}
 
-        // Event-driven greedy with a priority-ordered ready set.
-        let mut missing: Vec<usize> = g.task_ids().map(|id| g.preds(id).len()).collect();
-        let mut ready: BTreeMap<(Time, u32), TaskId> = g
-            .task_ids()
-            .filter(|id| missing[id.index()] == 0)
-            .map(|id| ((keys[id.index()], id.0), id))
-            .collect();
-        let mut running: BTreeMap<(Time, u32), (TaskId, u32)> = BTreeMap::new();
-        let mut free = instance.procs();
-        let mut now = Time::ZERO;
-        let mut done = 0usize;
+/// Greedy list scheduling by precomputed keys, driven by the engine: at
+/// each decision, start every ready task that fits, in (key, id) order.
+struct ByKey {
+    keys: Vec<Time>,
+    /// Ready tasks and their widths.
+    ready: BTreeMap<(Time, TaskId), u32>,
+}
 
-        while done < g.len() {
-            // Start everything that fits, highest priority first.
-            let mut started = Vec::new();
-            for (&key, &id) in &ready {
-                let p = g.spec(id).procs;
-                if p <= free {
-                    free -= p;
-                    let finish = now + g.spec(id).time;
-                    sched.place(id, now, finish, p);
-                    running.insert((finish, id.0), (id, p));
-                    started.push(key);
-                }
+impl OnlineScheduler for ByKey {
+    fn name(&self) -> &'static str {
+        "offline-list"
+    }
+
+    fn on_release(&mut self, task: &ReleasedTask, _now: Time) {
+        let key = (self.keys[task.id.index()], task.id);
+        self.ready.insert(key, task.spec.procs);
+    }
+
+    fn on_complete(&mut self, _task: TaskId, _now: Time) {}
+
+    fn decide_into(&mut self, _now: Time, mut free: u32, out: &mut Vec<TaskId>) {
+        self.ready.retain(|&(_, id), &mut p| {
+            if p <= free {
+                free -= p;
+                out.push(id);
+                false
+            } else {
+                true
             }
-            for key in started {
-                ready.remove(&key);
-            }
-            // Advance to the next completion (there must be one: at
-            // least one ready task always fits on an idle machine).
-            let (&(finish, _), _) = running
-                .iter()
-                .next()
-                .expect("no running tasks but work remains");
-            now = finish;
-            while let Some((&(f, seq), &(id, p))) = running.iter().next() {
-                if f != now {
-                    break;
-                }
-                running.remove(&(f, seq));
-                free += p;
-                done += 1;
-                for &s in g.succs(id) {
-                    missing[s.index()] -= 1;
-                    if missing[s.index()] == 0 {
-                        ready.insert((keys[s.index()], s.0), s);
-                    }
-                }
-            }
-        }
-        sched
+        });
     }
 }
 

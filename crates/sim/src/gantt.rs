@@ -1,12 +1,12 @@
 //! ASCII Gantt chart rendering.
 //!
-//! Assigns each placement a contiguous-looking set of processor rows by
-//! first-fit at its start instant (always possible because validated
-//! schedules never exceed capacity, though the rows of one task may be
-//! split), then rasterizes onto a character grid. Used by the examples and
+//! Draws each placement on the processor rows [`assign`] gives it
+//! (first fit at its start instant; the rows of one task may be split),
+//! then rasterizes onto a character grid. Used by the examples and
 //! the figure regenerators to draw schedules like the paper's Figures 1
 //! and 6.
 
+use crate::assign::assign;
 use crate::schedule::Schedule;
 use rigid_dag::TaskGraph;
 use rigid_time::Time;
@@ -44,28 +44,14 @@ pub fn render(schedule: &Schedule, graph: &TaskGraph, opts: &GanttOptions) -> St
         ((frac * width as f64).round() as usize).min(width)
     };
 
-    // Sort placements by start (then id) and first-fit rows.
+    // Draw in (start, id) order on the rows `assign` gives: where rounding
+    // puts two bars in one cell, the later one wins.
+    let rows = assign(schedule);
     let mut placements: Vec<_> = schedule.placements().collect();
     placements.sort_by_key(|p| (p.start, p.task));
-    // row_free_until[r] = instant at which row r becomes free.
-    let mut row_free_until = vec![Time::ZERO; procs];
     let mut grid = vec![vec![' '; width + 1]; procs];
 
     for p in placements {
-        let mut rows = Vec::with_capacity(p.procs as usize);
-        for (r, free_at) in row_free_until.iter_mut().enumerate() {
-            if *free_at <= p.start {
-                rows.push(r);
-                if rows.len() == p.procs as usize {
-                    break;
-                }
-            }
-        }
-        // A validated schedule always has enough free rows.
-        debug_assert!(
-            rows.len() == p.procs as usize,
-            "row assignment failed; schedule exceeds capacity?"
-        );
         let (c0, c1) = (scale(p.start), scale(p.finish).max(scale(p.start) + 1));
         let label = graph.spec(p.task).label_str().to_string();
         let name = if label.is_empty() {
@@ -73,8 +59,11 @@ pub fn render(schedule: &Schedule, graph: &TaskGraph, opts: &GanttOptions) -> St
         } else {
             label
         };
-        for (k, &r) in rows.iter().enumerate() {
-            row_free_until[r] = p.finish;
+        let task_rows = rows
+            .processors(p.task)
+            .expect("every placement is assigned");
+        for (k, &r) in task_rows.iter().enumerate() {
+            let r = r as usize;
             for cell in grid[r][c0..c1.min(width + 1)].iter_mut() {
                 *cell = '#';
             }
@@ -204,8 +193,8 @@ mod tests {
 
     #[test]
     fn rows_never_overlap() {
-        // Stack several tasks; the renderer must not assign two concurrent
-        // tasks to the same row (debug_assert enforces it).
+        // Stack several tasks; the renderer must not put two concurrent
+        // tasks on the same row.
         let mut g = TaskGraph::new();
         let ids: Vec<_> = (0..4)
             .map(|i| g.add_task(TaskSpec::new(Time::from_int(2), 1).with_label(format!("t{i}"))))
@@ -214,6 +203,18 @@ mod tests {
         for (i, id) in ids.iter().enumerate() {
             let st = Time::from_int(i as i64 % 2);
             s.place(*id, st, st + Time::from_int(2), 1);
+        }
+        let _ = render(&s, &g, &GanttOptions::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds capacity")]
+    fn over_capacity_panics() {
+        let mut g = TaskGraph::new();
+        let mut s = Schedule::new(2);
+        for _ in 0..2 {
+            let id = g.add_task(TaskSpec::new(Time::ONE, 2));
+            s.place(id, Time::ZERO, Time::ONE, 2);
         }
         let _ = render(&s, &g, &GanttOptions::default());
     }

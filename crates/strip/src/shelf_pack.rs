@@ -1,89 +1,44 @@
 //! Contiguous shelf packers for independent rectangles: NFDH and FFDH
 //! with explicit coordinates, plus the Bottom-Left skyline heuristic.
 //!
-//! These are the strip-packing counterparts of the schedulers in
-//! `rigid_baselines::shelf` — same shelf logic, but committing to actual
-//! `[x, x+w)` processor intervals so contiguity is verifiable.
+//! NFDH and FFDH place the shelves of `rigid_baselines::shelf::pack`,
+//! the workspace's one shelf packer, as actual `[x, x+w)` processor
+//! intervals, so contiguity is verifiable.
 
 use crate::packing::{PlacedRect, StripPacking};
-use rigid_dag::TaskId;
+pub use rigid_baselines::shelf::Rect;
+use rigid_baselines::shelf::{self, ShelfRule};
 use rigid_time::Time;
-
-/// An unplaced rectangle.
-#[derive(Clone, Copy, Debug)]
-pub struct Rect {
-    /// Identifier.
-    pub id: TaskId,
-    /// Width (processors).
-    pub width: u32,
-    /// Height (time).
-    pub height: Time,
-}
 
 /// Packs rectangles with Next-Fit Decreasing Height at `y_offset`,
 /// returning the packing height used (above the offset).
 pub fn nfdh(rects: &[Rect], strip_width: u32, y_offset: Time, out: &mut StripPacking) -> Time {
-    shelf_pack(rects, strip_width, y_offset, out, false)
+    shelf_pack(ShelfRule::NextFit, rects, strip_width, y_offset, out)
 }
 
 /// Packs rectangles with First-Fit Decreasing Height at `y_offset`.
 pub fn ffdh(rects: &[Rect], strip_width: u32, y_offset: Time, out: &mut StripPacking) -> Time {
-    shelf_pack(rects, strip_width, y_offset, out, true)
+    shelf_pack(ShelfRule::FirstFit, rects, strip_width, y_offset, out)
 }
 
 fn shelf_pack(
+    rule: ShelfRule,
     rects: &[Rect],
     strip_width: u32,
     y_offset: Time,
     out: &mut StripPacking,
-    first_fit: bool,
 ) -> Time {
-    let mut items: Vec<Rect> = rects.to_vec();
-    items.sort_by_key(|r| std::cmp::Reverse(r.height));
-    struct Shelf {
-        y: Time,
-        x_cursor: u32,
-    }
-    let mut shelves: Vec<Shelf> = Vec::new();
-    let mut top = y_offset;
-    for r in items {
-        assert!(
-            r.width <= strip_width,
-            "rectangle {} wider than the strip",
-            r.id
-        );
-        let slot = if first_fit {
-            shelves
-                .iter()
-                .position(|s| s.x_cursor + r.width <= strip_width)
-        } else {
-            shelves
-                .len()
-                .checked_sub(1)
-                .filter(|&i| shelves[i].x_cursor + r.width <= strip_width)
-        };
-        let idx = match slot {
-            Some(i) => i,
-            None => {
-                shelves.push(Shelf {
-                    y: top,
-                    x_cursor: 0,
-                });
-                top += r.height;
-                shelves.len() - 1
-            }
-        };
-        let s = &mut shelves[idx];
+    let (placed, height) = shelf::pack(rule, rects.iter().copied(), strip_width);
+    for s in placed {
         out.place(PlacedRect {
-            id: r.id,
-            x: s.x_cursor,
-            width: r.width,
-            y: s.y,
-            height: r.height,
+            id: s.rect.id,
+            x: s.x,
+            width: s.rect.width,
+            y: y_offset + s.y,
+            height: s.rect.height,
         });
-        s.x_cursor += r.width;
     }
-    top - y_offset
+    height
 }
 
 /// Bottom-Left placement over a skyline, processing rectangles in
@@ -127,6 +82,7 @@ pub fn bottom_left(rects: &[Rect], strip_width: u32, out: &mut StripPacking) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rigid_dag::TaskId;
 
     fn r(id: u32, w: u32, h: i64) -> Rect {
         Rect {
