@@ -50,8 +50,8 @@ impl Priority {
         }
     }
 
-    /// The sort key: ready tasks are kept sorted by `(key, release index)`
-    /// ascending, so smaller keys are preferred.
+    /// The sort key: ready tasks are kept best first by
+    /// [`PriorityKey::better_than`], equal keys in release order.
     pub fn key(&self, spec: &TaskSpec) -> PriorityKey {
         match self {
             Priority::Fifo => PriorityKey::Index,
@@ -64,14 +64,14 @@ impl Priority {
     }
 }
 
-/// Comparable priority key. Ordered so that "better" sorts first.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// A task's priority key, compared with [`PriorityKey::better_than`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PriorityKey {
     /// Neutral: release order decides.
     Index,
     /// Ascending time/area.
     TimeAsc(Time),
-    /// Descending time/area (wrapped so Ord reverses).
+    /// Descending time/area: the larger value is better.
     TimeDesc(Time),
     /// Ascending processor count.
     ProcsAsc(u32),
@@ -80,7 +80,7 @@ pub enum PriorityKey {
 }
 
 impl PriorityKey {
-    /// Compares two keys of the same variant; smaller = higher priority.
+    /// Whether `self` strictly beats `other`, a key of the same variant.
     pub fn better_than(&self, other: &PriorityKey) -> bool {
         use PriorityKey::*;
         match (self, other) {

@@ -40,14 +40,6 @@ pub fn lemma8_bound(params: &GadgetParams) -> Time {
     Time::from_int(p * k.pow(params.p - 1) - (p - 1) * k.pow(params.p - 2))
 }
 
-/// The naive Graham lower bound of `X_P(K)` ignoring the separators:
-/// dominated by the longest chain, `K^(P−1) + K^(P-i-1)·ε` for `i = P−1`,
-/// i.e. about `K^(P−1)`. Useful to show `X` *looks* cheap to `Lb` while
-/// actually costing `P·K^(P−1)` (Remark 2).
-pub fn x_graham_bound(instance: &Instance) -> Time {
-    rigid_dag::analysis::lower_bound(instance)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

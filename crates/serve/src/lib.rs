@@ -18,11 +18,10 @@
 //!   execution, outcomes after; a restarted daemon replays the
 //!   unfinished backlog before it binds, so the terminal record set
 //!   converges to the uninterrupted run's, byte for byte.
-//! * [`client`] / [`loadgen`] — a minimal pipelining client, a
-//!   fault-tolerant [`ResilientClient`] (read timeouts, reconnect +
-//!   idempotent resubmit under seeded backoff), and the N-client load
-//!   generator behind `catbatch loadgen` and the `serve` bench
-//!   scenario.
+//! * [`client`] / [`loadgen`] — a minimal pipelining client with read
+//!   timeouts, and the N-client load generator behind `catbatch
+//!   loadgen` and the `serve` bench scenario, which reconnects and
+//!   resubmits idempotently under exponential backoff.
 //! * [`chaos`] — a seeded in-process network fault injector
 //!   (`catbatch chaos-proxy`): relays client↔daemon byte streams while
 //!   injecting delays, torn writes, slowloris trickle, planned
@@ -46,7 +45,7 @@ pub mod net;
 pub mod protocol;
 
 pub use chaos::{ChaosPlan, ChaosProxy, ChaosProxyHandle, ProxyReport};
-pub use client::{Client, ClientConfig, ClientError, ResilientClient, RetryPolicy};
+pub use client::{Client, ClientConfig};
 pub use daemon::{run_one, scheduler_by_name, Daemon, ServeOptions, ServeReport, SCHEDULERS};
 pub use journal::{aggregate, Aggregates, JobRecord, ServeJournal, SERVE_SCHEMA};
 pub use loadgen::{LoadgenOptions, LoadgenReport};
