@@ -183,20 +183,14 @@ pub fn write(instance: &Instance) -> String {
     let g = instance.graph();
     let mut out = String::new();
     let _ = writeln!(out, "procs {}", instance.procs());
-    let name = |id: crate::task::TaskId| {
-        let l = g.spec(id).label_str();
-        if l.is_empty() {
-            format!("{id}")
-        } else {
-            l.to_string()
-        }
-    };
     for (id, spec) in g.tasks() {
-        let _ = writeln!(out, "task {} {} {}", name(id), spec.time, spec.procs);
+        let name = g.display_name(id);
+        let _ = writeln!(out, "task {name} {} {}", spec.time, spec.procs);
     }
     for id in g.task_ids() {
+        let from = g.display_name(id);
         for &s in g.succs(id) {
-            let _ = writeln!(out, "edge {} {}", name(id), name(s));
+            let _ = writeln!(out, "edge {from} {}", g.display_name(s));
         }
     }
     out

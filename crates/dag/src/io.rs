@@ -32,11 +32,7 @@ pub fn to_dot(instance: &Instance) -> String {
         g.len()
     );
     for (id, spec) in g.tasks() {
-        let name = if spec.label_str().is_empty() {
-            format!("{id}")
-        } else {
-            spec.label_str().to_string()
-        };
+        let name = g.display_name(id).to_string();
         let _ = writeln!(
             out,
             "  n{} [label=\"{}\\nt={} p={}\"];",

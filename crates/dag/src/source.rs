@@ -20,6 +20,7 @@
 use crate::graph::Instance;
 use crate::task::{TaskId, TaskSpec};
 use rigid_time::Time;
+use std::sync::Arc;
 
 /// A task made visible to the scheduler, together with everything the
 /// online model allows it to know: the spec `(t, p)` and the (already
@@ -233,8 +234,12 @@ impl InstanceSource for TimedSource {
 /// engine drops it once it has ingested the release, so the source holds
 /// only the instance and a few words per task, never a second copy of
 /// every spec and predecessor list.
+///
+/// The instance is shared, not owned: sources built from clones of one
+/// `Arc<Instance>` (say, the attempts of one supervised job) read the
+/// same graph.
 pub struct StaticSource {
-    instance: Instance,
+    instance: Arc<Instance>,
     /// Per task, the predecessors that have not completed yet, with the
     /// [`RELEASED`] bit set once the task is released.
     missing_preds: Vec<u32>,
@@ -254,8 +259,11 @@ pub struct StaticSource {
 const RELEASED: u32 = 1 << 31;
 
 impl StaticSource {
-    /// Wraps an instance for online revelation.
-    pub fn new(instance: Instance) -> Self {
+    /// Wraps an instance for online revelation. Pass an owned
+    /// [`Instance`], or an `Arc<Instance>` to share one instance among
+    /// several sources without copying it.
+    pub fn new(instance: impl Into<Arc<Instance>>) -> Self {
+        let instance = instance.into();
         let g = instance.graph();
         let missing_preds = g.task_ids().map(|id| g.preds(id).len() as u32).collect();
         let mut succ_offsets = Vec::with_capacity(g.len() + 1);

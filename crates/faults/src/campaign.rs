@@ -200,10 +200,13 @@ pub fn run_trial_reusing(
     scratch: &mut EngineScratch,
 ) -> TrialStats {
     let mut injector = FaultInjector::new(seed, config.clone());
+    // A trial reads only the makespan and the fault log, which a
+    // stats-only run reports exactly.
     let run = EngineConfig::new()
         .faults(&mut injector)
         .budget(budget)
         .scratch(scratch)
+        .stats_only()
         .try_run(&mut StaticSource::new(instance.clone()), scheduler);
     match run {
         Ok(result) => TrialStats {

@@ -10,7 +10,9 @@ use rigid_dag::gen::{self, TaskSampler};
 use rigid_dag::{format, StaticSource};
 use rigid_serve::journal::JobRecord;
 use rigid_serve::protocol::{kind, Request, Response};
-use rigid_serve::{aggregate, run_one, Bind, Client, Daemon, JobSpec, ServeJournal, ServeOptions};
+use rigid_serve::{
+    aggregate, run_one, Bind, Client, Daemon, JobSpec, ServeJournal, ServeOptions, SCHEDULERS,
+};
 use rigid_sim::gantt::{render, GanttOptions};
 use rigid_sim::EngineConfig;
 use std::collections::BTreeMap;
@@ -431,6 +433,39 @@ fn gantt_labels_name_the_placed_tasks() {
     match run_one(&job, &ServeOptions::default()) {
         Response::Result(result) => assert_eq!(result.gantt, expected),
         other => panic!("expected a result, got {other:?}"),
+    }
+}
+
+/// A job that asks for neither a chart nor a trace runs stats-only. Its
+/// answer equals a full-recording job's, chart aside, for every
+/// scheduler on figure 3 (non-dyadic times) and on the instances
+/// `catbatch generate --family layered --n 300 --procs 8 --seed 3` and
+/// `--family independent --n 300 --procs 16 --seed 1` write.
+#[test]
+fn stats_only_jobs_answer_as_full_recording_jobs_do() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../assets/figure3.rigid");
+    let mix = TaskSampler::default_mix();
+    let inputs = [
+        std::fs::read_to_string(path).expect("figure 3 asset"),
+        format::write(&gen::layered(3, 17, 18, &mix, 8)),
+        format::write(&gen::independent(1, 300, &mix, 16)),
+    ];
+    for text in &inputs {
+        for name in SCHEDULERS {
+            let lean = run_one(&spec(1, name, text), &ServeOptions::default());
+            let full = JobSpec {
+                gantt: true,
+                ..spec(1, name, text)
+            };
+            match (lean, run_one(&full, &ServeOptions::default())) {
+                (Response::Result(lean), Response::Result(mut full)) => {
+                    assert!(lean.gantt.is_empty() && !full.gantt.is_empty());
+                    full.gantt.clear();
+                    assert_eq!(lean, full, "{name}");
+                }
+                other => panic!("{name}: expected two results, got {other:?}"),
+            }
+        }
     }
 }
 

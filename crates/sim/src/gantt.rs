@@ -53,12 +53,7 @@ pub fn render(schedule: &Schedule, graph: &TaskGraph, opts: &GanttOptions) -> St
 
     for p in placements {
         let (c0, c1) = (scale(p.start), scale(p.finish).max(scale(p.start) + 1));
-        let label = graph.spec(p.task).label_str().to_string();
-        let name = if label.is_empty() {
-            format!("{}", p.task)
-        } else {
-            label
-        };
+        let name = graph.display_name(p.task).to_string();
         let task_rows = rows
             .processors(p.task)
             .expect("every placement is assigned");
@@ -117,12 +112,7 @@ pub fn render_criticalities(graph: &TaskGraph, opts: &GanttOptions) -> String {
     for id in order {
         let c = &crit[id.index()];
         let (c0, c1) = (scale(c.start), scale(c.finish).max(scale(c.start) + 1));
-        let label = graph.spec(id).label_str();
-        let name = if label.is_empty() {
-            format!("{id}")
-        } else {
-            label.to_string()
-        };
+        let name = graph.display_name(id).to_string();
         let mut line = vec![' '; width + 1];
         for cell in line[c0..c1.min(width + 1)].iter_mut() {
             *cell = '=';

@@ -14,10 +14,11 @@
 //! Do not modify this file for performance or style: its value is that
 //! it does not change. Bug fixes that alter observable behavior must be
 //! applied to **both** engines, with a differential test witnessing the
-//! agreement. Two deliberate edits so far change a contract in both
+//! agreement. Three deliberate edits so far change a contract in both
 //! engines, each marked below: a single scheduler call per decision
-//! instant, and a `RunResult` without the rebuilt graph of released
-//! tasks, whose release times are a dense column.
+//! instant, a `RunResult` without the rebuilt graph of released
+//! tasks, whose release times are a dense column, and a `RunResult`
+//! that carries its makespan.
 
 use crate::engine::{EngineStats, RunResult};
 use crate::error::{RunError, SchedulerViolation, SourceViolation};
@@ -344,7 +345,12 @@ pub fn try_run_faulty(
         // iteration re-reads the capacity and re-consults the scheduler.
     }
 
+    // The third deliberate edit: `RunResult` carries its makespan,
+    // which the main engine tracks as it places so that a stats-only
+    // run reports it too. This engine always records, so it reads the
+    // value off its schedule.
     Ok(RunResult {
+        makespan: schedule.makespan(),
         schedule,
         procs,
         release_times,

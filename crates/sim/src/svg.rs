@@ -111,12 +111,7 @@ pub fn render_svg(schedule: &Schedule, graph: &TaskGraph, opts: &SvgOptions) -> 
             );
         }
         if opts.labels && w > 18.0 {
-            let label = graph.spec(p.task).label_str();
-            let name = if label.is_empty() {
-                format!("{}", p.task)
-            } else {
-                label.to_string()
-            };
+            let name = graph.display_name(p.task).to_string();
             let top_row = *task_rows.iter().max().expect("non-empty") as usize;
             let y = margin_top + opts.lane_height * (procs - 1 - top_row) as u32;
             let _ = writeln!(

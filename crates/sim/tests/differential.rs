@@ -213,16 +213,36 @@ fn assert_identical(new: &RunResult, old: &RunResult) {
     );
     assert_eq!(new.decisions, old.decisions, "decision counts diverge");
     assert_eq!(new.faults, old.faults, "fault logs diverge");
+    assert_eq!(new.makespan(), old.makespan(), "makespans diverge");
+}
+
+/// What a stats-only run shares with the reference: everything but the
+/// schedule and the release times, which it leaves empty.
+fn assert_stats_identical(lean: &RunResult, old: &RunResult) {
+    assert!(lean.schedule.is_empty() && lean.release_times.is_empty());
+    assert_eq!(lean.procs, old.procs);
+    assert_eq!(
+        lean.decisions, old.decisions,
+        "stats-only decisions diverge"
+    );
+    assert_eq!(lean.faults, old.faults, "stats-only fault log diverges");
+    assert_eq!(
+        lean.makespan(),
+        old.makespan(),
+        "stats-only makespan diverges"
+    );
 }
 
 /// Runs both engines on fresh copies of the same instance + scheduler +
 /// fault schedule and asserts bit-identical outcomes (or identical
-/// typed errors) and identical release logs.
+/// typed errors) and identical release logs. A stats-only run of the
+/// main engine must agree on everything it reports.
 fn check_instance(inst: &Instance, fault_seed: u64, fail_mod: u64, inflate_mod: u64) {
     for sched_kind in 0..2 {
         let mut new_sched = Recording::new(sched_kind);
         let mut old_sched = Recording::new(sched_kind);
         let mut budget_sched = Recording::new(sched_kind);
+        let mut lean_sched = Recording::new(sched_kind);
         let mut new_faults = HashFaults {
             seed: fault_seed,
             fail_mod,
@@ -234,6 +254,11 @@ fn check_instance(inst: &Instance, fault_seed: u64, fail_mod: u64, inflate_mod: 
             inflate_mod,
         };
         let mut budget_faults = HashFaults {
+            seed: fault_seed,
+            fail_mod,
+            inflate_mod,
+        };
+        let mut lean_faults = HashFaults {
             seed: fault_seed,
             fail_mod,
             inflate_mod,
@@ -252,6 +277,10 @@ fn check_instance(inst: &Instance, fault_seed: u64, fail_mod: u64, inflate_mod: 
             .faults(&mut budget_faults)
             .budget(RunBudget::max_events(u64::MAX))
             .try_run(&mut StaticSource::new(inst.clone()), &mut budget_sched);
+        let lean = EngineConfig::new()
+            .faults(&mut lean_faults)
+            .stats_only()
+            .try_run(&mut StaticSource::new(inst.clone()), &mut lean_sched);
         assert_eq!(
             new_sched.releases, old_sched.releases,
             "release logs diverge"
@@ -260,23 +289,31 @@ fn check_instance(inst: &Instance, fault_seed: u64, fail_mod: u64, inflate_mod: 
             budget_sched.releases, old_sched.releases,
             "budgeted release log diverges"
         );
-        match (new, old, budgeted) {
-            (Ok(new), Ok(old), Ok(budgeted)) => {
+        assert_eq!(
+            lean_sched.releases, old_sched.releases,
+            "stats-only release log diverges"
+        );
+        match (new, old, budgeted, lean) {
+            (Ok(new), Ok(old), Ok(budgeted), Ok(lean)) => {
                 assert_identical(&new, &old);
                 assert_identical(&budgeted, &old);
+                assert_stats_identical(&lean, &old);
             }
-            (Err(new), Err(old), Err(budgeted)) => {
+            (Err(new), Err(old), Err(budgeted), Err(lean)) => {
                 assert_eq!(new, old, "engines disagree on the typed error");
                 assert_eq!(
                     budgeted, old,
                     "budgeted engine disagrees on the typed error"
                 );
+                assert_eq!(lean, old, "stats-only engine disagrees on the typed error");
             }
-            (new, old, budgeted) => panic!(
-                "engines disagree on success: new = {:?}, old = {:?}, budgeted = {:?}",
+            (new, old, budgeted, lean) => panic!(
+                "engines disagree on success: new = {:?}, old = {:?}, budgeted = {:?}, \
+                 stats-only = {:?}",
                 new.map(|r| r.makespan()),
                 old.map(|r| r.makespan()),
                 budgeted.map(|r| r.makespan()),
+                lean.map(|r| r.makespan()),
             ),
         }
     }

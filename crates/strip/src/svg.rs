@@ -84,15 +84,10 @@ pub fn render_packing_svg(
             h.max(1.0)
         );
         if opts.labels && h > 12.0 {
-            let label = if r.id.index() < graph.len() {
-                graph.spec(r.id).label_str().to_string()
+            let name = if r.id.index() < graph.len() {
+                graph.display_name(r.id).to_string()
             } else {
-                String::new()
-            };
-            let name = if label.is_empty() {
-                format!("{}", r.id)
-            } else {
-                label
+                r.id.to_string()
             };
             let _ = writeln!(
                 out,

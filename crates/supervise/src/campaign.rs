@@ -355,7 +355,9 @@ where
     let baseline = || -> Result<Time, CampaignError> {
         let run = catch_unwind(AssertUnwindSafe(|| {
             let mut sched = make_scheduler();
-            EngineConfig::new().try_run(&mut StaticSource::new(instance.clone()), &mut sched)
+            EngineConfig::new()
+                .stats_only()
+                .try_run(&mut StaticSource::new(instance.clone()), &mut sched)
         }))
         .map_err(|p| CampaignError::BaselinePanicked {
             message: rigid_faults::panic_message(p),

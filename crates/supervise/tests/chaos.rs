@@ -27,7 +27,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const ROLE_VAR: &str = "RIGID_CHAOS_ROLE";
 const SEEDS: [u64; 12] = [5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 55, 60];
@@ -54,8 +54,7 @@ fn config() -> FaultConfig {
     FaultConfig::fail_stop(250, 2)
 }
 
-/// The scenario for the SIGTERM dirty-window test: big enough that a
-/// signal ~80 ms in lands mid-campaign.
+/// The scenario for the SIGTERM dirty-window test.
 fn big_instance() -> Instance {
     layered(42, 10, 10, &TaskSampler::default_mix(), 8)
 }
@@ -63,6 +62,10 @@ fn big_instance() -> Instance {
 fn big_seeds() -> Vec<u64> {
     (1..=1200).collect()
 }
+
+/// Stop polls the SIGTERM child lets pass before it asks for the signal:
+/// well inside the 1,200-seed campaign.
+const SIGTERM_AFTER_POLLS: u64 = 300;
 
 fn options(journal: PathBuf, resume: bool, shard: Option<ShardSpec>) -> CampaignOptions {
     CampaignOptions {
@@ -101,8 +104,11 @@ fn child(role: String) -> Command {
 ///   order, at any `jobs`, so `abort_after = k` journals exactly `k`
 ///   records and then dies.
 /// * `sigterm:<journal>` — installs the interrupt handler and runs the
-///   big campaign with `--jobs 2` (the group-commit path), stopping at
-///   the real signal the parent sends; prints a `CHAOS-RESULT` line.
+///   big campaign with `--jobs 2` (the group-commit path). After
+///   [`SIGTERM_AFTER_POLLS`] stop polls it prints `CHAOS-START` and
+///   holds the campaign in that poll until the real signal the parent
+///   sends arrives, so the signal lands mid-campaign by order, not by
+///   timing; prints a `CHAOS-RESULT` line.
 #[test]
 fn chaos_child_main() {
     let Ok(role) = std::env::var(ROLE_VAR) else {
@@ -139,10 +145,7 @@ fn chaos_child_main() {
             let journal = PathBuf::from(parts[1]);
             interrupt::install();
             interrupt::reset();
-            // Handshake: the parent waits for this line before timing
-            // its signal, so child startup cost cannot race it.
-            println!("CHAOS-START");
-            std::io::stdout().flush().expect("flush handshake");
+            let polls = AtomicU64::new(0);
             let outcome = run_campaign(
                 &big_instance(),
                 &config(),
@@ -151,7 +154,21 @@ fn chaos_child_main() {
                     jobs: 2,
                     ..options(journal, false, None)
                 },
-                interrupt::interrupted,
+                move || {
+                    if polls.fetch_add(1, Ordering::Relaxed) == SIGTERM_AFTER_POLLS {
+                        // Handshake: the parent signals when it reads
+                        // this line, and the campaign goes no further
+                        // until the signal is in.
+                        println!("CHAOS-START");
+                        std::io::stdout().flush().expect("flush handshake");
+                        let deadline = Instant::now() + Duration::from_secs(60);
+                        while !interrupt::interrupted() {
+                            assert!(Instant::now() < deadline, "no SIGTERM within 60 s");
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                    }
+                    interrupt::interrupted()
+                },
                 CatBatch::new,
             )
             .expect("sigterm campaign");
@@ -348,11 +365,9 @@ fn sigterm_in_group_commit_window_leaves_clean_prefix() {
     .expect("serial big campaign");
     let canon_bytes = fs::read(&canon.0).expect("canonical bytes");
 
-    // The child prints CHAOS-START right before its campaign begins;
-    // the signal goes out a beat later, landing inside the run. A
-    // signal is still inherently racy against completion, so retry if
-    // the campaign finished first (in practice the first attempt
-    // lands).
+    // The child prints CHAOS-START from inside its campaign, a few
+    // hundred seeds in, and waits there for the signal, so it lands
+    // mid-campaign on the first attempt. The retries stay as a guard.
     let mut landed = None;
     for attempt in 0..4 {
         let journal = TempFile(temp_path(&format!("term-{attempt}")));
@@ -369,7 +384,6 @@ fn sigterm_in_group_commit_window_leaves_clean_prefix() {
                 break;
             }
             if line.contains("CHAOS-START") {
-                std::thread::sleep(Duration::from_millis(40));
                 let _ = Command::new("kill")
                     .arg("-TERM")
                     .arg(proc.id().to_string())
